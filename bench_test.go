@@ -548,9 +548,13 @@ func BenchmarkDeployBuild(b *testing.B) {
 
 // The rt hot-path families (internal/rtbench): the gate pacing fast
 // path, the bounded MPSC queue behind the serve and shard workers (with
-// its pre-campaign mutex-ring baseline), and the end-to-end zero-alloc
-// invoke path on the live runtime. cmd/tbwf-bench -rt records the same
-// leaves into BENCH_rt.json and gates regressions against it.
-func BenchmarkGatePace(b *testing.B)   { rtbench.RunFamily(b, "GatePace") }
-func BenchmarkServeQueue(b *testing.B) { rtbench.RunFamily(b, "ServeQueue") }
-func BenchmarkInvokePath(b *testing.B) { rtbench.RunFamily(b, "InvokePath") }
+// its pre-campaign mutex-ring baseline), the end-to-end zero-alloc
+// invoke path on the live runtime, the Set → wake → Step hand-off of an
+// event wait, and what an unloaded service costs. cmd/tbwf-bench -rt
+// records the same leaves into BENCH_rt.json and gates regressions
+// against it.
+func BenchmarkGatePace(b *testing.B)     { rtbench.RunFamily(b, "GatePace") }
+func BenchmarkServeQueue(b *testing.B)   { rtbench.RunFamily(b, "ServeQueue") }
+func BenchmarkInvokePath(b *testing.B)   { rtbench.RunFamily(b, "InvokePath") }
+func BenchmarkAwaitHandoff(b *testing.B) { rtbench.RunFamily(b, "AwaitHandoff") }
+func BenchmarkIdle(b *testing.B)         { rtbench.RunFamily(b, "Idle") }

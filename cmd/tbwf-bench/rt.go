@@ -36,6 +36,8 @@ type rtEntry struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// Extra carries a leaf's own metrics (b.ReportMetric), by unit.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // rtDerived carries the machine-independent ratios the perf gate runs
@@ -52,6 +54,28 @@ type rtDerived struct {
 	// InvokeAllocsPerOp repeats InvokePath/rt allocs/op as a named
 	// headline; the acceptance bound is amortized zero.
 	InvokeAllocsPerOp float64 `json:"invoke_allocs_per_op"`
+	// IdleStepsPerSec and IdleCPUPercent repeat the Idle/rt leaf's two
+	// metrics: the steps per second and the share of one core a built,
+	// started and unloaded service takes. With event waits every task of
+	// an idle service is parked; the bounds are 0 and 2.
+	IdleStepsPerSec float64 `json:"idle_steps_per_sec"`
+	IdleCPUPercent  float64 `json:"idle_cpu_percent"`
+}
+
+// maxIdleCPUPercent bounds what an unloaded service may burn: the Go
+// runtime's background work and the benchmark's own sleep loop fit well
+// inside it, one spinning task does not.
+const maxIdleCPUPercent = 2.0
+
+// checkIdle applies the idle bounds to a document's derived figures.
+func (d rtDerived) checkIdle() error {
+	if d.IdleStepsPerSec != 0 {
+		return fmt.Errorf("idle service takes %.0f steps/s, want 0 (a task is spinning instead of parked)", d.IdleStepsPerSec)
+	}
+	if d.IdleCPUPercent > maxIdleCPUPercent {
+		return fmt.Errorf("idle service uses %.2f%% of a core, bound is %.0f%%", d.IdleCPUPercent, maxIdleCPUPercent)
+	}
+	return nil
 }
 
 // rtLoad pins the service-level latency leg: the timely-client p99 of a
@@ -77,6 +101,7 @@ func runRTBenches() rtDoc {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  float64(r.AllocedBytesPerOp()),
 			AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
+			Extra:       r.Extra,
 		}
 		if e.NsPerOp > 0 {
 			e.OpsPerSec = 1e9 / e.NsPerOp
@@ -99,8 +124,13 @@ func runRTBenches() rtDoc {
 	if inv, ok := byName["InvokePath/rt"]; ok {
 		doc.Derived.InvokeAllocsPerOp = inv.AllocsPerOp
 	}
-	fmt.Printf("derived: serve-queue speedup at 8 producers %.2fx, %.1f timer allocs/gap deleted, invoke path %.3f allocs/op\n",
-		doc.Derived.ServeQueueSpeedup8P, doc.Derived.GateTimerAllocsSaved, doc.Derived.InvokeAllocsPerOp)
+	if idle, ok := byName["Idle/rt"]; ok {
+		doc.Derived.IdleStepsPerSec = idle.Extra[rtbench.IdleStepsPerSec]
+		doc.Derived.IdleCPUPercent = idle.Extra[rtbench.IdleCPUPercent]
+	}
+	fmt.Printf("derived: serve-queue speedup at 8 producers %.2fx, %.1f timer allocs/gap deleted, invoke path %.3f allocs/op, idle %.0f steps/s at %.2f%% of a core\n",
+		doc.Derived.ServeQueueSpeedup8P, doc.Derived.GateTimerAllocsSaved, doc.Derived.InvokeAllocsPerOp,
+		doc.Derived.IdleStepsPerSec, doc.Derived.IdleCPUPercent)
 	return doc
 }
 
@@ -163,6 +193,8 @@ var rtRequiredLeaves = []string{
 	"ServeQueue/ring/p=8",
 	"ServeQueue/mpsc/p=8",
 	"InvokePath/rt",
+	"AwaitHandoff/rt",
+	"Idle/rt",
 }
 
 // validateRTDoc checks a committed BENCH_rt.json: schema, required
@@ -187,6 +219,9 @@ func validateRTDoc(path string) error {
 	}
 	if a := doc.Derived.InvokeAllocsPerOp; a > 0.05 {
 		return fmt.Errorf("%s: invoke path allocates %.3f objects/op, want amortized 0", path, a)
+	}
+	if err := doc.Derived.checkIdle(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	if doc.Load == nil || doc.Load.TimelyP99US <= 0 {
 		return fmt.Errorf("%s: missing pinned tbwf-load p99 leg", path)
@@ -233,6 +268,11 @@ func compareRTDoc(path string) error {
 	}
 	if w := want.Derived.ServeQueueSpeedup8P; w > 0 && got.Derived.ServeQueueSpeedup8P < 0.9*w {
 		fails = append(fails, fmt.Sprintf("serve-queue speedup at 8 producers %.2fx, >10%% below committed %.2fx", got.Derived.ServeQueueSpeedup8P, w))
+	}
+	// Idleness is a property of the code, not of the host: no steps, and a
+	// CPU share far under anything a spinning task would show.
+	if err := got.Derived.checkIdle(); err != nil {
+		fails = append(fails, err.Error())
 	}
 	if sameHost := got.NumCPU == want.NumCPU && got.Go == want.Go; sameHost {
 		for _, g := range got.Benchmarks {

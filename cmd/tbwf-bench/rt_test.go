@@ -46,6 +46,8 @@ func TestValidateRTDocRejections(t *testing.T) {
 		{"speedup below floor", func(d *rtDoc) { d.Derived.ServeQueueSpeedup8P = 1.1 }, "speedup"},
 		{"invoke path allocates", func(d *rtDoc) { d.Derived.InvokeAllocsPerOp = 0.5 }, "allocates"},
 		{"no load leg", func(d *rtDoc) { d.Load = nil }, "tbwf-load"},
+		{"idle service steps", func(d *rtDoc) { d.Derived.IdleStepsPerSec = 1200 }, "steps/s"},
+		{"idle service burns cpu", func(d *rtDoc) { d.Derived.IdleCPUPercent = 40 }, "of a core"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,6 +45,10 @@ type Client[S, O, R any] struct {
 	// paper warns about and exists only for that experiment.
 	canonical bool
 
+	// isMe and notMe are the Await predicates of Figure 7 lines 6 and 2,
+	// made once so that Invoke allocates no closure per call.
+	isMe, notMe func(leader int) bool
+
 	completed  atomic.Int64
 	invokes    atomic.Int64
 	queries    atomic.Int64
@@ -61,7 +65,12 @@ func NewClient[S, O, R any](inst *omega.Instance, h *qa.Handle[S, O, R]) (*Clien
 	if inst.Me != h.Me() {
 		return nil, fmt.Errorf("core: omega endpoint of process %d wired to qa handle of process %d", inst.Me, h.Me())
 	}
-	return &Client[S, O, R]{me: inst.Me, omega: inst, handle: h, canonical: true}, nil
+	me := inst.Me
+	return &Client[S, O, R]{
+		me: me, omega: inst, handle: h, canonical: true,
+		isMe:  func(leader int) bool { return leader == me },
+		notMe: func(leader int) bool { return leader != me },
+	}, nil
 }
 
 // NewClientNonCanonical builds a client that skips the canonical wait of
@@ -98,39 +107,38 @@ func (c *Client[S, O, R]) Invoke(p prim.Proc, op O) R {
 	// Line 2: canonical use — after our previous withdrawal, wait until
 	// Ω∆ stops naming us leader before competing again.
 	if c.canonical {
-		for c.omega.Leader.Get() == c.me {
-			p.Step()
-		}
+		c.omega.Leader.Await(p, c.notMe)
 	}
 	c.omega.Candidate.Set(true) // line 3: compete for leadership
 
 	doQuery := false // false: op' = op; true: op' = query (line 4)
 	for {            // line 5: repeat forever
-		if c.omega.Leader.Get() == c.me { // line 6
-			if doQuery {
-				c.queries.Add(1)
-				r, out := c.handle.Query() // line 7 with op' = query
-				switch out {
-				case qa.QueryApplied: // line 8: res ∉ {⊥, F}
-					c.omega.Candidate.Set(false)
-					c.markDone()
-					return r
-				case qa.QueryNotApplied: // line 10: res = F → op' ← op
-					doQuery = false
-				default: // line 9: res = ⊥ → keep querying
-					c.aborts.Add(1)
-				}
-			} else {
-				c.invokes.Add(1)
-				r, ok := c.handle.Invoke(op) // line 7 with op' = op
-				if ok {                      // line 8
-					c.omega.Candidate.Set(false)
-					c.markDone()
-					return r
-				}
+		// Line 6: the iterations that find leader ≠ me do nothing but
+		// step, which is a skip loop on a local variable.
+		c.omega.Leader.Await(p, c.isMe)
+		if doQuery {
+			c.queries.Add(1)
+			r, out := c.handle.Query() // line 7 with op' = query
+			switch out {
+			case qa.QueryApplied: // line 8: res ∉ {⊥, F}
+				c.omega.Candidate.Set(false)
+				c.markDone()
+				return r
+			case qa.QueryNotApplied: // line 10: res = F → op' ← op
+				doQuery = false
+			default: // line 9: res = ⊥ → keep querying
 				c.aborts.Add(1)
-				doQuery = true // line 9: res = ⊥ → op' ← query
 			}
+		} else {
+			c.invokes.Add(1)
+			r, ok := c.handle.Invoke(op) // line 7 with op' = op
+			if ok {                      // line 8
+				c.omega.Candidate.Set(false)
+				c.markDone()
+				return r
+			}
+			c.aborts.Add(1)
+			doQuery = true // line 9: res = ⊥ → op' ← query
 		}
 		p.Step()
 	}

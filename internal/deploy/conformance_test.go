@@ -12,10 +12,11 @@ import (
 // what deploy.Build receives from Sim) passes the prim conformance suite.
 // The harness pumps the kernel in slices so tests that finish early do not
 // pay for the full budget, and treats an idle kernel whose done condition
-// is unmet as a stall.
+// is unmet as a stall. The schedule is a pinned-seed random one, so the
+// suite's Await case compares trace hashes of an irregular interleaving.
 func TestSimSubstrateConformance(t *testing.T) {
 	primtest.Run(t, func(t *testing.T) *primtest.Harness {
-		k := sim.New(3)
+		k := sim.New(3, sim.WithSchedule(sim.Random(20080818, nil)))
 		return &primtest.Harness{
 			Sub: Sim(k),
 			Run: func(done func() bool) error {
@@ -33,7 +34,8 @@ func TestSimSubstrateConformance(t *testing.T) {
 				}
 				return fmt.Errorf("step budget exhausted at %d with work unfinished", k.Step())
 			},
-			Crash: k.Crash,
+			Crash:     k.Crash,
+			TraceHash: k.TraceHash,
 		}
 	})
 }

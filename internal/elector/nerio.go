@@ -123,9 +123,7 @@ func nerioTask(proc prim.Proc, n int, inst *omega.Instance,
 	)
 	for {
 		inst.Leader.Set(omega.NoLeader)
-		for !inst.Candidate.Get() {
-			proc.Step()
-		}
+		inst.Candidate.Await(proc, prim.IsTrue)
 		for inst.Candidate.Get() {
 			if e := epochReg.Read(); e != epoch {
 				epoch = e

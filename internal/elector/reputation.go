@@ -146,9 +146,7 @@ func reputationTask(proc prim.Proc, n int, inst *omega.Instance,
 	for {
 		inst.Leader.Set(omega.NoLeader)
 		regs.cand[me].Write(0)
-		for !inst.Candidate.Get() {
-			proc.Step()
-		}
+		inst.Candidate.Await(proc, prim.IsTrue)
 		// Self-punishment on (re-)entry (Figure 3 lines 7–8): a process
 		// that joins and leaves the competition forever accumulates an
 		// unbounded penalty and is eventually never chosen.

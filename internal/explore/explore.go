@@ -29,9 +29,7 @@
 package explore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
 	"strings"
@@ -285,7 +283,7 @@ func Execute(p Plan) (*Outcome, error) {
 	} else {
 		out.Verdicts = check(k, res)
 	}
-	out.TraceHash = traceHash(k)
+	out.TraceHash = k.TraceHash()
 	out.StateSig = stateSig(k, out, env.stateExtra())
 	return out, nil
 }
@@ -334,31 +332,4 @@ func mix(seed, stream int64) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return int64(z >> 1)
-}
-
-// traceHash fingerprints the executed run with FNV-1a over the recorded
-// schedule and the per-process step/operation counters.
-func traceHash(k *sim.Kernel) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	wr := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wr(int64(k.N()))
-	wr(k.Step())
-	var buf4 [4]byte
-	for _, s := range k.Trace().Schedule() {
-		binary.LittleEndian.PutUint32(buf4[:], uint32(s))
-		h.Write(buf4[:])
-	}
-	m := k.Metrics()
-	for p := 0; p < k.N(); p++ {
-		wr(m.Steps[p])
-		wr(m.Reads[p])
-		wr(m.Writes[p])
-		wr(m.ReadAborts[p])
-		wr(m.WriteAborts[p])
-	}
-	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }

@@ -127,10 +127,9 @@ func (m *Pair) MonitoredTask() func(prim.Proc) {
 	return func(p prim.Proc) {
 		var hbCounter int64
 		for { // repeat forever
-			m.Hb.Write(stoppedHeartbeat) // line 2
-			for !m.ActiveFor.Get() {     // line 3: while off do skip
-				p.Step()
-			}
+			m.Hb.Write(stoppedHeartbeat)      // line 2
+			m.ActiveFor.Await(p, prim.IsTrue) // line 3: while off do skip
+
 			for m.ActiveFor.Get() { // line 4
 				hbCounter++ // line 5: the increment is a state-change step
 				p.Step()
@@ -158,11 +157,9 @@ func (m *Pair) MonitoringTask() func(prim.Proc) {
 			allowIncrement = true
 		)
 		for { // line 7: repeat forever
-			m.Status.Set(StatusUnknown) // line 8
-			for !m.Monitoring.Get() {   // line 9: while off do skip
-				p.Step()
-			}
-			hbTimer = hbTimeout // line 10
+			m.Status.Set(StatusUnknown)        // line 8
+			m.Monitoring.Await(p, prim.IsTrue) // line 9: while off do skip
+			hbTimer = hbTimeout                // line 10
 
 			for m.Monitoring.Get() { // line 11
 				if hbTimer >= 1 { // line 12

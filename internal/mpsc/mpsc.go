@@ -18,13 +18,21 @@
 //   - PopBatch lets one consumer wake drain many queued items, so a worker
 //     turn amortizes its queue check over a whole batch (mirroring the
 //     shard layer's one-QA-round-per-batch amortization).
+//   - Await is the consumer's "while the queue is empty do skip": spinning
+//     steps on the simulation kernel, a park woken by Push on the
+//     real-time runtime.
 //
 // The queue is sharded across the system one level up: every (replica) and
 // every (shard, replica) pair owns an independent ring, so producers for
 // different lanes never touch the same cache lines.
 package mpsc
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+
+	"tbwf/internal/prim"
+)
 
 // pad keeps the hot cursors on their own cache lines so producers hammering
 // tail do not false-share with the consumer advancing head.
@@ -46,6 +54,11 @@ type Queue[T any] struct {
 	_    pad
 	head atomic.Int64 // next dequeue ticket (consumer-only writes)
 	_    pad
+	// sleeping is the consumer's "I am about to park" flag; wake is its
+	// wake channel, written once by the consumer before sleeping is first
+	// raised and read by producers only after they see it raised.
+	sleeping atomic.Bool
+	wake     chan<- struct{}
 }
 
 // New creates a queue holding at least capacity items (rounded up to a
@@ -77,6 +90,14 @@ func (q *Queue[T]) Push(v T) bool {
 			if q.tail.CompareAndSwap(pos, pos+1) {
 				c.val = v
 				c.seq.Store(pos + 1) // publish
+				// Publish, then test sleeping; Await raises sleeping, then
+				// tests for a published cell. One side always sees the other.
+				if q.sleeping.Load() && q.sleeping.CompareAndSwap(true, false) {
+					select {
+					case q.wake <- struct{}{}:
+					default: // a hint is already pending
+					}
+				}
 				return true
 			}
 			pos = q.tail.Load()
@@ -89,6 +110,48 @@ func (q *Queue[T]) Push(v T) bool {
 			pos = q.tail.Load()
 		}
 	}
+}
+
+// Await returns once the queue has an item for Pop: the consumer's
+// "while the queue is empty do skip". On a Proc that is not a prim.Parker
+// it is literally
+//
+//	for empty { p.Step() }
+//
+// so simulated schedules are unchanged. On a Parker the consumer steps for
+// prim.LingerWindow, like every other wait, and then parks, taking no
+// steps until a Push wakes it. A caller that polls for its result with
+// short sleeps also needs the window: a Go process with every P idle
+// rounds each sub-millisecond timer up to 1 ms. The consumer that waits
+// must be the same task for the queue's whole life.
+func (q *Queue[T]) Await(p prim.Proc) {
+	pk, parks := p.(prim.Parker)
+	if !parks {
+		for q.empty() {
+			p.Step()
+		}
+		return
+	}
+	for start := time.Now(); q.empty(); {
+		if time.Since(start) < prim.LingerWindow {
+			p.Step()
+			continue
+		}
+		if q.wake == nil {
+			q.wake = pk.Waker()
+		}
+		q.sleeping.Store(true)
+		if q.empty() {
+			pk.Park()
+		}
+		q.sleeping.Store(false)
+	}
+}
+
+// empty reports whether Pop would fail. Single consumer only.
+func (q *Queue[T]) empty() bool {
+	pos := q.head.Load()
+	return q.buf[pos&q.mask].seq.Load() != pos+1
 }
 
 // Pop dequeues the oldest item; ok is false when the queue is empty (or

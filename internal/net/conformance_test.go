@@ -39,7 +39,8 @@ func TestFabricSubstrateConformance(t *testing.T) {
 				}
 				return fmt.Errorf("step budget exhausted at %d with work unfinished", k.Step())
 			},
-			Crash: k.Crash,
+			Crash:     k.Crash,
+			TraceHash: k.TraceHash,
 		}
 	})
 }

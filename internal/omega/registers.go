@@ -77,6 +77,9 @@ func (c *RegistersConfig) validate() error {
 	return nil
 }
 
+// statusKnown is the exit condition of Figure 3 lines 10–11.
+func statusKnown(s monitor.Status) bool { return s != monitor.StatusUnknown }
+
 // RegistersTask returns the Figure 3 main loop for one process: the Ω∆
 // implementation from activity monitors and atomic registers. It returns
 // an error only for invalid wiring.
@@ -103,9 +106,7 @@ func RegistersTask(cfg RegistersConfig) (func(prim.Proc), error) {
 				cfg.ActiveFor[q].Set(false)
 			}
 
-			for !cfg.Endpoint.Candidate.Get() { // line 5: while not candidate do skip
-				p.Step()
-			}
+			cfg.Endpoint.Candidate.Await(p, prim.IsTrue) // line 5: while not candidate do skip
 
 			for q := 0; q < n; q++ { // line 6
 				if q != me {
@@ -126,14 +127,8 @@ func RegistersTask(cfg RegistersConfig) (func(prim.Proc), error) {
 					if q == me {
 						continue
 					}
-					for {
-						status[q] = cfg.Status[q].Get()
-						faultCntr[q] = cfg.FaultCntr[q].Get()
-						if status[q] != monitor.StatusUnknown {
-							break
-						}
-						p.Step()
-					}
+					status[q] = cfg.Status[q].Await(p, statusKnown)
+					faultCntr[q] = cfg.FaultCntr[q].Get()
 				}
 				// Line 12: activeSet ← {q : status[q] = active} ∪ {p}.
 				activeSet = activeSet[:0]

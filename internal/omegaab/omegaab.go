@@ -59,10 +59,8 @@ func Task(cfg Config) (func(prim.Proc), error) {
 		msgTo := make([]Msg, n)
 
 		for { // line 41: repeat forever
-			cfg.Endpoint.Leader.Set(omega.NoLeader) // line 42
-			for !cfg.Endpoint.Candidate.Get() {     // line 43
-				p.Step()
-			}
+			cfg.Endpoint.Leader.Set(omega.NoLeader)      // line 42
+			cfg.Endpoint.Candidate.Await(p, prim.IsTrue) // line 43
 			// Line 44: self-punishment on (re-)entry, bounded so that
 			// counter[me] stops changing once the leadership stabilizes —
 			// otherwise WriteMsgs could never deliver its final value.

@@ -5,7 +5,9 @@
 // tasks land on the process they were spawned on, Step consumes schedule
 // allocation and unwinds on crash, registers are read-your-writes and
 // visible across tasks, abortable registers never abort solo operations,
-// and factories preserve register names and operation counters.
+// factories preserve register names and operation counters, and
+// prim.Var.Await is "while ¬ok(x) do skip" — on a deterministic substrate
+// step for step.
 //
 // A substrate test package builds a Harness around a fresh substrate and
 // calls Run; the suite never imports a substrate itself, so it sits below
@@ -33,6 +35,11 @@ type Harness struct {
 	// Crash crashes process p mid-run. Nil skips the crash-unwinding
 	// test for substrates without crash injection.
 	Crash func(p int)
+	// TraceHash fingerprints the run so far: which process took each step
+	// and what it did. Non-nil only where runs repeat exactly (the
+	// simulation kernel); the Await test then requires Var.Await and the
+	// hand-written skip loop to produce the same hash.
+	TraceHash func() string
 }
 
 // Run exercises the substrate contract. mk must return a fresh Harness —
@@ -45,6 +52,7 @@ func Run(t *testing.T, mk func(t *testing.T) *Harness) {
 	t.Run("AbortableNeverAbort", func(t *testing.T) { testAbortableNeverAbort(t, mk(t)) })
 	t.Run("CrashUnwinds", func(t *testing.T) { testCrashUnwinds(t, mk(t)) })
 	t.Run("RegisterMetadata", func(t *testing.T) { testRegisterMetadata(t, mk(t)) })
+	t.Run("Await", func(t *testing.T) { testAwait(t, mk) })
 }
 
 func allTrue(flags []atomic.Bool) func() bool {
@@ -260,5 +268,84 @@ func testRegisterMetadata(t *testing.T, h *Harness) {
 	}
 	if ast.Reads < 1 || ast.Writes < 1 {
 		t.Errorf("abortable register counted %d reads / %d writes, want >= 1 each", ast.Reads, ast.Writes)
+	}
+}
+
+// awaitRounds is how many local-variable hand-offs the Await scenario
+// makes; the setter's delay before each varies with the round.
+const awaitRounds = 24
+
+// spinAwait is the loop Var.Await replaces, written out by hand.
+func spinAwait(x *prim.Var[int], p prim.Proc, ok func(int) bool) int {
+	for !ok(x.Get()) {
+		p.Step()
+	}
+	return x.Get()
+}
+
+// awaitScenario runs two tasks of process 0 handing a local variable back
+// and forth — each waits with wait until the other has set the round
+// number — beside a task of process 1 that keeps a shared clock register
+// ticking. After every wait the waiter stamps the clock, so a wait that
+// took even one step more or fewer shows in the stamps it returns.
+func awaitScenario(t *testing.T, h *Harness, wait func(*prim.Var[int], prim.Proc, func(int) bool) int) []int64 {
+	ping, pong := prim.NewVar(0), prim.NewVar(0)
+	clock := prim.NewRegister[int64](h.Sub, "conf/await/clock", 0)
+	stamps := make([]int64, 0, awaitRounds)
+	var done, waiterDone atomic.Bool
+	h.Sub.Spawn(1, "conf-await-clock", func(pp prim.Proc) {
+		for i := int64(1); !done.Load(); i++ {
+			clock.Write(i)
+			pp.Step()
+		}
+	})
+	h.Sub.Spawn(0, "conf-await-setter", func(pp prim.Proc) {
+		for r := 1; r <= awaitRounds; r++ {
+			for i := 0; i < r%5; i++ {
+				pp.Step()
+			}
+			ping.Set(r)
+			wait(pong, pp, func(v int) bool { return v == r })
+		}
+	})
+	h.Sub.Spawn(0, "conf-await-waiter", func(pp prim.Proc) {
+		for r := 1; r <= awaitRounds; r++ {
+			if got := wait(ping, pp, func(v int) bool { return v >= r }); got != r {
+				t.Errorf("round %d: wait returned %d", r, got)
+			}
+			stamps = append(stamps, clock.Read())
+			pong.Set(r)
+		}
+		waiterDone.Store(true)
+	})
+	if err := h.Run(waiterDone.Load); err != nil {
+		t.Fatal(err)
+	}
+	done.Store(true)
+	return stamps
+}
+
+// Var.Await returns the first satisfying value and wakes on every Set it
+// must see. Where runs repeat exactly it is indistinguishable from the
+// hand-written "while ¬ok(x) do skip": same clock stamps, same trace hash.
+func testAwait(t *testing.T, mk func(t *testing.T) *Harness) {
+	h := mk(t)
+	stamps := awaitScenario(t, h, (*prim.Var[int]).Await)
+	if len(stamps) != awaitRounds {
+		t.Fatalf("waiter completed %d of %d rounds", len(stamps), awaitRounds)
+	}
+	if h.TraceHash == nil {
+		return
+	}
+	hash := h.TraceHash()
+	hs := mk(t)
+	spinStamps := awaitScenario(t, hs, spinAwait)
+	if spinHash := hs.TraceHash(); hash != spinHash {
+		t.Errorf("trace hash %s with Var.Await, %s with the hand-written loop", hash, spinHash)
+	}
+	for i := range stamps {
+		if stamps[i] != spinStamps[i] {
+			t.Fatalf("round %d: clock read %d after Var.Await, %d after the hand-written loop", i+1, stamps[i], spinStamps[i])
+		}
 	}
 }

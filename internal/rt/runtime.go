@@ -78,6 +78,13 @@ func GrowingGaps(burst int64, firstGap time.Duration, factor float64) Profile {
 // The zero-delay fast path: when the profile is nil the gate never takes
 // mu at all — pace is the crash/stop loads, the telemetry fold, an atomic
 // step bump, and a Gosched.
+//
+// Event waits: a task that has waited on a prim.Var or an mpsc.Queue for
+// prim.LingerWindow parks in park (prim.Parker) on its own wake channel
+// instead of spinning on through pace, selecting against the same stopCh
+// and wake, so Stop, Crash and SetProfile interrupt it exactly as they
+// interrupt a gap. The gate counts its live and parked tasks to tell an
+// idle process from a slow one.
 type Gate struct {
 	zero    atomic.Bool // profile == nil: take the fast path
 	mu      sync.Mutex  // guards profile invocation and wake rotation
@@ -94,6 +101,13 @@ type Gate struct {
 	lastStepNS atomic.Int64 // UnixNano of the latest step; 0 before the first
 	maxGapNS   atomic.Int64
 	ewmaGapNS  atomic.Int64 // exponentially weighted moving average, α=1/16
+
+	tasks  atomic.Int32 // live tasks of the process
+	parked atomic.Int32 // of those, parked in an event wait
+	// idled is set when the process's last running task parks or exits:
+	// the stretch up to its next step is idleness (no work), not a
+	// scheduling gap, and observeGap leaves it out of the telemetry.
+	idled atomic.Bool
 }
 
 // timerPool recycles parking timers across all gates, so steady-state
@@ -175,10 +189,20 @@ func (g *Gate) pace() {
 // same gate, and a plain load/store read-modify-write would lose updates.
 func (g *Gate) observeGap(now int64) {
 	prev := g.lastStepNS.Swap(now)
-	if prev == 0 || now <= prev {
+	if g.idled.Load() {
+		// First step after a whole-process park: re-arm only. A wake while
+		// a sibling was running does not come here, so its gap still counts.
+		g.idled.Store(false)
 		return
 	}
-	gap := now - prev
+	g.foldGap(now-prev, prev)
+}
+
+// foldGap folds the gap that followed the step at prev into the telemetry.
+func (g *Gate) foldGap(gap, prev int64) {
+	if prev == 0 || gap <= 0 {
+		return
+	}
 	for {
 		max := g.maxGapNS.Load()
 		if gap <= max || g.maxGapNS.CompareAndSwap(max, gap) {
@@ -191,6 +215,39 @@ func (g *Gate) observeGap(now int64) {
 		if next == old || g.ewmaGapNS.CompareAndSwap(old, next) {
 			break
 		}
+	}
+}
+
+// park blocks the calling task until hint receives, the runtime stops, or
+// the gate is interrupted (crash, retune). It takes no step and never
+// exits the task itself: the caller's next pace does both.
+func (g *Gate) park(hint <-chan struct{}) {
+	g.mu.Lock()
+	wake := g.wake
+	g.mu.Unlock()
+	// Crash and Stop raise their flag before they signal, so a signal that
+	// fired before wake was read above shows here.
+	if g.crashed.Load() || g.stopped.Load() {
+		return
+	}
+	g.parked.Add(1)
+	g.noteIdle()
+	select {
+	case <-hint:
+	case <-g.stopCh:
+	case <-wake:
+	}
+	g.parked.Add(-1)
+}
+
+// noteIdle marks the process idle if none of its tasks is left running.
+// The stretch since the latest step is folded in first: pace serves a
+// step's gap after observing it, so the pause of the last step before a
+// whole-process park would otherwise be lost with the idleness after it.
+func (g *Gate) noteIdle() {
+	if g.parked.Load() >= g.tasks.Load() && g.idled.CompareAndSwap(false, true) {
+		prev := g.lastStepNS.Load()
+		g.foldGap(time.Now().UnixNano()-prev, prev)
 	}
 }
 
@@ -255,14 +312,20 @@ func (r *Runtime) Crash(p int) {
 	g.mu.Unlock()
 }
 
-// proc implements prim.Proc for one task of one process.
+// proc implements prim.Proc and prim.Parker for one task of one process.
 type proc struct {
 	id   int
 	gate *Gate
+	wake chan struct{} // capacity 1: the task's wake-up hints
 }
 
-func (p proc) ID() int { return p.id }
-func (p proc) Step()   { p.gate.pace() }
+func (p proc) ID() int                { return p.id }
+func (p proc) Step()                  { p.gate.pace() }
+func (p proc) Waker() chan<- struct{} { return p.wake }
+func (p proc) Park() {
+	p.gate.park(p.wake)
+	p.gate.pace()
+}
 
 // Spawn starts a task on process pr. It implements prim.Spawner.
 func (r *Runtime) Spawn(pr int, name string, fn func(p prim.Proc)) {
@@ -271,9 +334,12 @@ func (r *Runtime) Spawn(pr int, name string, fn func(p prim.Proc)) {
 	}
 	r.wg.Add(1)
 	gate := r.gates[pr]
+	gate.tasks.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer func() {
+			gate.tasks.Add(-1)
+			gate.noteIdle()
 			if rec := recover(); rec != nil && !prim.RecoverTaskExit(rec) {
 				r.mu.Lock()
 				if r.err == nil {
@@ -282,7 +348,7 @@ func (r *Runtime) Spawn(pr int, name string, fn func(p prim.Proc)) {
 				r.mu.Unlock()
 			}
 		}()
-		fn(proc{id: pr, gate: gate})
+		fn(proc{id: pr, gate: gate, wake: make(chan struct{}, 1)})
 	}()
 }
 
@@ -323,6 +389,12 @@ type ProcStats struct {
 	SinceLastStep time.Duration
 	// Crashed reports whether the process was crashed.
 	Crashed bool
+	// Parked is how many of the process's tasks are parked in an event
+	// wait (prim.Var.Await, mpsc.Queue.Await). Idle reports that all of
+	// them are: the process has no work, and a growing SinceLastStep is
+	// then not a gap. Idle stretches are left out of MaxGap and AvgGap.
+	Parked int
+	Idle   bool
 }
 
 // ProcStats returns process p's step-gap telemetry. Safe to call from any
@@ -334,7 +406,9 @@ func (r *Runtime) ProcStats(p int) ProcStats {
 		MaxGap:  time.Duration(g.maxGapNS.Load()),
 		AvgGap:  time.Duration(g.ewmaGapNS.Load()),
 		Crashed: g.crashed.Load(),
+		Parked:  int(g.parked.Load()),
 	}
+	s.Idle = s.Parked > 0 && s.Parked >= int(g.tasks.Load())
 	if last := g.lastStepNS.Load(); last > 0 {
 		if d := time.Now().UnixNano() - last; d > 0 {
 			s.SinceLastStep = time.Duration(d)

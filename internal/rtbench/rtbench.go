@@ -1,6 +1,7 @@
 // Package rtbench is the rt hot path's benchmark registry: the gate
 // pacing fast path, the bounded MPSC queue behind the serve and shard
-// layers, and the end-to-end zero-alloc invoke path. The leaves run both
+// layers, the end-to-end zero-alloc invoke path, the event-wait hand-off,
+// and what an unloaded service costs. The leaves run both
 // under `go test -bench` (through the wrappers in the repo root's
 // bench_test.go) and under cmd/tbwf-bench -rt, which records them in
 // BENCH_rt.json and gates perf regressions in CI.
@@ -18,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -26,6 +28,7 @@ import (
 	"tbwf/internal/objtype"
 	"tbwf/internal/prim"
 	"tbwf/internal/rt"
+	"tbwf/internal/serve"
 )
 
 // Bench is one registered benchmark leaf.
@@ -49,8 +52,16 @@ func All() []Bench {
 		{"ServeQueue/mpsc/p=8", benchQueueMPSC(8)},
 		{"ServeQueue/mpsc/p=16", benchQueueMPSC(16)},
 		{"InvokePath/rt", benchInvokePath},
+		{"AwaitHandoff/rt", benchAwaitHandoff},
+		{"Idle/rt", benchIdle},
 	}
 }
+
+// Extra metric names of the Idle/rt leaf (testing.BenchmarkResult.Extra).
+const (
+	IdleStepsPerSec = "idle-steps/s"
+	IdleCPUPercent  = "idle-cpu-%"
+)
 
 // RunFamily runs every leaf whose name starts with prefix+"/" as a
 // sub-benchmark of b. The root bench_test.go wrappers call it so the
@@ -304,4 +315,91 @@ func benchInvokePath(b *testing.B) {
 	if want := int64(400 + b.N); st.Clients[0].Completed() != want {
 		b.Fatalf("completed %d ops, want %d", st.Clients[0].Completed(), want)
 	}
+}
+
+// benchAwaitHandoff measures the event wait that replaced the skip loops:
+// two tasks of one process raise a flag for each other in turn, each
+// waiting in Await for the other's Set. One op is a there-and-back, so two
+// Set → Step trips — back to back they land inside prim.LingerWindow, the
+// loaded case, where the waiter is still stepping; the parked case is
+// rt's TestAwaitParksWithoutStepsAndWakesOnSet. It must not allocate,
+// since every leader change and every queued request rides on it.
+func benchAwaitHandoff(b *testing.B) {
+	r := rt.New(1, nil)
+	ping, pong := prim.NewVar(false), prim.NewVar(false)
+	r.Spawn(0, "pong", func(pp prim.Proc) {
+		for {
+			ping.Await(pp, prim.IsTrue)
+			ping.Set(false)
+			pong.Set(true)
+		}
+	})
+	runSpawned(b, r, func(pp prim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Set(true)
+			pong.Await(pp, prim.IsTrue)
+			pong.Set(false)
+		}
+	})
+}
+
+// idleWindow is how long one op of the Idle/rt leaf watches an unloaded
+// service.
+const idleWindow = 200 * time.Millisecond
+
+// benchIdle measures what a service with no load costs: a counter stack
+// on three replicas with its workers started and nothing submitted. Once
+// the tasks' linger windows have run out every one of them is parked, so the
+// stack takes no steps and the process burns no CPU beyond the Go
+// runtime's own background work; ns/op is just the window. The figures
+// that matter are the two extra metrics, which the perf gate holds at 0
+// steps/s and at most 2 % of one core.
+func benchIdle(b *testing.B) {
+	const n = 3
+	r := rt.New(n, nil)
+	be, err := serve.NewBackend(r, serve.BackendConfig{Object: "counter", DropRaw: true}, serve.Hooks{})
+	if err != nil {
+		b.Fatalf("NewBackend: %v", err)
+	}
+	be.Start()
+	// Start-up steps and the linger windows end with every task parked; on
+	// a loaded host that takes as long as it takes.
+	for p, deadline := 0, time.Now().Add(10*time.Second); p < n; {
+		switch {
+		case r.ProcStats(p).Idle:
+			p++
+		case time.Now().After(deadline):
+			b.Fatalf("process %d still not idle 10s after start: %+v", p, r.ProcStats(p))
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	steps := func() (total int64) {
+		for p := 0; p < n; p++ {
+			total += r.StepOf(p)
+		}
+		return total
+	}
+	steps0, cpu0, t0 := steps(), processCPU(), time.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		time.Sleep(idleWindow)
+	}
+	b.StopTimer()
+	wall := time.Since(t0)
+	b.ReportMetric(float64(steps()-steps0)/wall.Seconds(), IdleStepsPerSec)
+	b.ReportMetric(100*float64(processCPU()-cpu0)/float64(wall), IdleCPUPercent)
+	if err := r.Stop(); err != nil {
+		b.Fatalf("Stop: %v", err)
+	}
+}
+
+// processCPU returns the user and system CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -165,10 +165,16 @@ type ProcessMetrics struct {
 	// Steps and the gap estimates come from the rt substrate: MaxGapUS is
 	// the largest observed wall-clock gap between the process's steps,
 	// AvgGapUS an EWMA, SinceLastStepUS the age of the latest step.
+	// Parked counts the process's tasks waiting on an event; Idle says all
+	// of them are, which tells "no work" (old latest step, idle) from "in
+	// a gap" (old latest step, not idle). Idle time is in neither gap
+	// estimate.
 	Steps           int64   `json:"steps"`
 	MaxGapUS        float64 `json:"max_gap_us"`
 	AvgGapUS        float64 `json:"avg_gap_us"`
 	SinceLastStepUS float64 `json:"since_last_step_us"`
+	Parked          int     `json:"parked"`
+	Idle            bool    `json:"idle"`
 	// QueueDepth is the replica's current bounded-queue occupancy;
 	// Served/Rejected count accepted and backpressured requests.
 	QueueDepth int   `json:"queue_depth"`
@@ -312,6 +318,8 @@ func (s *Server) report() MetricsReport {
 			MaxGapUS:        float64(ps.MaxGap) / 1e3,
 			AvgGapUS:        float64(ps.AvgGap) / 1e3,
 			SinceLastStepUS: float64(ps.SinceLastStep) / 1e3,
+			Parked:          ps.Parked,
+			Idle:            ps.Idle,
 			QueueDepth:      s.backend.QueueDepth(p),
 			Served:          s.metrics.served[p].Load(),
 			Rejected:        s.metrics.rejected[p].Load(),

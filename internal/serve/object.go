@@ -212,10 +212,10 @@ type queued[O any] struct {
 // tbwfBackend adapts one deploy.Stack to the wire protocol: a bounded
 // request queue and a single worker task per replica (a process's
 // operations must all flow through its one client, from its own task).
-// The worker polls its ring and spends a substrate step when the ring is
-// empty — the paper's model has no idle wait, a process either takes
-// protocol steps or it is untimely, and the poll loop makes the worker's
-// timeliness directly observable by Ω∆ on both substrates.
+// On an empty ring the worker waits in Queue.Await: skip steps on the
+// simulation kernel, a park on the real-time runtime. A worker with no
+// operation is not a candidate and owes Ω∆ nothing; its timeliness
+// matters, and is observed, only from the moment Invoke sets candidate_p.
 type tbwfBackend[S, O, R any] struct {
 	sub     prim.Substrate
 	hooks   Hooks
@@ -266,7 +266,7 @@ func (b *tbwfBackend[S, O, R]) Start() {
 			for {
 				n := q.PopBatch(batch)
 				if n == 0 {
-					pp.Step() // unwinds via prim.ExitTask on stop/crash/budget
+					q.Await(pp) // unwinds via prim.ExitTask on stop/crash/budget
 					continue
 				}
 				// One queue wake services the whole run of queued ops,

@@ -186,8 +186,11 @@ func New(sub prim.Substrate, cfg Config) (*Map, error) {
 // boundary when it does not — and pushes the whole batch through the
 // replica's TBWF client as a single invocation, so the batch costs one
 // Ω∆ leader read and one QA agreement round. Responses are distributed
-// back index-aligned (the batch fence). An empty queue costs a
-// substrate step, keeping the worker's timeliness observable by Ω∆.
+// back index-aligned (the batch fence). On an empty queue the worker
+// waits in Queue.Await — skip steps on the simulation kernel, a park on
+// the real-time runtime. A worker with no operation is not a candidate
+// and owes Ω∆ nothing; its timeliness matters, and is observed, only from
+// the moment Invoke sets candidate_p.
 func (m *Map) Start() {
 	for s, sh := range m.shards {
 		for p := 0; p < m.sub.N(); p++ {
@@ -199,7 +202,7 @@ func (m *Map) Start() {
 				for {
 					n := q.PopBatch(buf)
 					if n == 0 {
-						pp.Step()
+						q.Await(pp)
 						continue
 					}
 					items := buf[:n]

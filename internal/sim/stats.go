@@ -1,6 +1,11 @@
 package sim
 
-import "time"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"time"
+)
 
 // RunStats is an observability snapshot of a kernel's execution economy:
 // how many steps it took, what they cost in goroutine handoffs and trace
@@ -59,4 +64,33 @@ func (s RunStats) StepsPerSec() float64 {
 		return 0
 	}
 	return float64(s.Steps) / s.Elapsed.Seconds()
+}
+
+// TraceHash fingerprints the executed run with FNV-1a over the recorded
+// schedule and the per-process step/operation counters. Two runs with the
+// same hash took the same steps in the same order; replay artifacts and
+// the substrate conformance suite compare runs by it.
+func (k *Kernel) TraceHash() string {
+	h := fnv.New64a()
+	var buf [8]byte
+	wr := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	wr(int64(k.N()))
+	wr(k.Step())
+	var buf4 [4]byte
+	for _, s := range k.Trace().Schedule() {
+		binary.LittleEndian.PutUint32(buf4[:], uint32(s))
+		h.Write(buf4[:])
+	}
+	m := k.Metrics()
+	for p := 0; p < k.N(); p++ {
+		wr(m.Steps[p])
+		wr(m.Reads[p])
+		wr(m.Writes[p])
+		wr(m.ReadAborts[p])
+		wr(m.WriteAborts[p])
+	}
+	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }
