@@ -369,7 +369,7 @@ func BenchmarkE9Consensus(b *testing.B) {
 	var lastAt int64
 	for i := 0; i < b.N; i++ {
 		k := sim.New(n, sim.WithScheduleTrace(false))
-		parts, err := consensus.Build(deploy.Sim(k), []int64{100, 101, 102}, false)
+		parts, err := consensus.Build(deploy.Sim(k), []int64{100, 101, 102}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func main() {
 	proposals := []int64{111, 222, 333, 444}
 	fmt.Println("proposals:", proposals, "— only process 3 is timely")
 
-	parts, err := consensus.Build(deploy.Sim(k), proposals, false) // Ω∆ from abortable registers
+	parts, err := consensus.Build(deploy.Sim(k), proposals, nil) // Ω∆ from abortable registers
 	if err != nil {
 		log.Fatal(err)
 	}

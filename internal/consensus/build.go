@@ -3,8 +3,7 @@ package consensus
 import (
 	"fmt"
 
-	"tbwf/internal/omega"
-	"tbwf/internal/omegaab"
+	"tbwf/internal/elector"
 	"tbwf/internal/prim"
 	"tbwf/internal/register"
 )
@@ -26,31 +25,23 @@ func SubstrateRegisters[V comparable](sub prim.Substrate, opts ...register.AbOpt
 	}
 }
 
-// Build wires a full consensus deployment on any substrate — Ω∆ from
-// abortable registers (or atomic registers when atomicOmega is set), one
-// consensus instance, and one participant task per process proposing
-// proposals[p] — and spawns everything.
-func Build[V comparable](sub prim.Substrate, proposals []V, atomicOmega bool, opts ...register.AbOption) ([]*Participant[V], error) {
+// Build wires a full consensus deployment on any substrate — Ω∆ from the
+// given elector (nil: elector.Abortable, the paper's abortable-registers
+// construction), one consensus instance, and one participant task per
+// process proposing proposals[p] — and spawns everything.
+func Build[V comparable](sub prim.Substrate, proposals []V, builder elector.Builder, opts ...register.AbOption) ([]*Participant[V], error) {
 	n := sub.N()
 	if len(proposals) != n {
 		return nil, fmt.Errorf("consensus: %d proposals for %d processes", len(proposals), n)
 	}
-	var endpoints []*omega.Instance
-	if atomicOmega {
-		dep, err := omega.BuildWith(n, sub, func(name string, init int64) prim.Register[int64] {
-			return register.SubstrateAtomic(sub, name, init)
-		}, omega.BuildOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("consensus: %w", err)
-		}
-		endpoints = dep.Instances
-	} else {
-		sys, err := omegaab.Build(sub, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("consensus: %w", err)
-		}
-		endpoints = sys.Instances
+	if builder == nil {
+		builder = elector.Abortable
 	}
+	el, err := builder.Build(sub, elector.Config{RegisterOptions: opts})
+	if err != nil {
+		return nil, fmt.Errorf("consensus: %w", err)
+	}
+	endpoints := el.Instances()
 	inst, err := New(n, SubstrateRegisters[V](sub, opts...))
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tbwf/internal/elector"
 	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
@@ -42,7 +43,7 @@ func TestConsensusFromAbortableRegisters(t *testing.T) {
 	const n = 4
 	k := sim.New(n)
 	proposals := props(n)
-	parts, err := Build(register.Substrate(k), proposals, false)
+	parts, err := Build(register.Substrate(k), proposals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestConsensusWithOneTimelyProcess(t *testing.T) {
 		1: sim.GrowingGaps(300, 800, 1.5),
 	})))
 	proposals := props(n)
-	parts, err := Build(register.Substrate(k), proposals, false)
+	parts, err := Build(register.Substrate(k), proposals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestConsensusSurvivesLeaderCrash(t *testing.T) {
 	const n = 3
 	k := sim.New(n)
 	proposals := props(n)
-	parts, err := Build(register.Substrate(k), proposals, false)
+	parts, err := Build(register.Substrate(k), proposals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestConsensusSafetySweep(t *testing.T) {
 			const n = 4
 			k := sim.New(n, sim.WithSchedule(sim.Random(seed, nil)))
 			proposals := props(n)
-			parts, err := Build(register.Substrate(k), proposals, false,
+			parts, err := Build(register.Substrate(k), proposals, nil,
 				register.WithAbortPolicy(register.ProbAbort(0.7, seed*31)),
 				register.WithEffectPolicy(register.ProbEffect(0.5, seed*17)))
 			if err != nil {
@@ -146,7 +147,7 @@ func TestConsensusWithAtomicOmega(t *testing.T) {
 	const n = 3
 	k := sim.New(n)
 	proposals := props(n)
-	parts, err := Build(register.Substrate(k), proposals, true)
+	parts, err := Build(register.Substrate(k), proposals, elector.Atomic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestConsensusWithAtomicOmega(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	k := sim.New(2)
-	if _, err := Build(register.Substrate(k), []int64{1}, false); err == nil {
+	if _, err := Build(register.Substrate(k), []int64{1}, nil); err == nil {
 		t.Error("mismatched proposal count accepted")
 	}
 	if _, err := New[int64](0, Registers[int64]{}); err == nil {

@@ -198,7 +198,7 @@ func E9Consensus(cfg E9Config) (*Table, error) {
 				for p := range proposals {
 					proposals[p] = int64(100 + p)
 				}
-				parts, err := consensus.Build(deploy.Sim(k), proposals, false)
+				parts, err := consensus.Build(deploy.Sim(k), proposals, nil)
 				if err != nil {
 					return err
 				}

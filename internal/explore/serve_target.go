@@ -9,6 +9,7 @@ import (
 	"tbwf/internal/objtype"
 	"tbwf/internal/prim"
 	"tbwf/internal/serve"
+	"tbwf/internal/shard"
 	"tbwf/internal/sim"
 )
 
@@ -18,7 +19,7 @@ import (
 // process's TBWF client — deployed on the simulation kernel through the
 // same composition root (deploy.Build) the live HTTP service uses. A
 // seed-derived load script per replica submits wire-encoded operations,
-// retries through ErrQueueFull, and polls completions cooperatively, so
+// retries through shard.ErrQueueFull, and polls completions cooperatively, so
 // the fuzzer explores end-to-end service histories: queueing delays,
 // backpressure rejections, and TBWF client scheduling all interleave under
 // the plan's schedule, and every run replays byte-exactly.
@@ -122,10 +123,10 @@ func buildServe(k *sim.Kernel, env *Env, object string) (Check, error) {
 			RegisterOptions: tapedRegisterOptions(env),
 		},
 	}, serve.Hooks{
-		Served: func(p int, pd *serve.Pending, _ time.Duration) {
+		Served: func(_, p int, pd *serve.Pending, _ int, _ time.Duration) {
 			serveOrder[p] = append(serveOrder[p], pd.Tag.(int64))
 		},
-		Rejected: func(p int) { rejects[p]++ },
+		Shed: func(_, p int, _ error) { rejects[p]++ },
 	})
 	if err != nil {
 		return nil, err
@@ -154,7 +155,7 @@ func buildServe(k *sim.Kernel, env *Env, object string) (Check, error) {
 						seq++
 						break
 					}
-					if err != serve.ErrQueueFull {
+					if err != shard.ErrQueueFull {
 						panic(fmt.Sprintf("serve target: scripted op rejected: %v", err))
 					}
 					pp.Step()
@@ -232,7 +233,7 @@ func buildServe(k *sim.Kernel, env *Env, object string) (Check, error) {
 		acctOK := true
 		var completedTotal int64
 		for p := 0; p < n; p++ {
-			completed := backend.ClientStats(p).Completed
+			completed := backend.ClientStats(0, p).Completed
 			completedTotal += completed
 			if completed != int64(len(serveOrder[p])) {
 				vs = append(vs, failf(acctOracle, "replica %d: client completed %d ops, hooks observed %d",
@@ -240,7 +241,7 @@ func buildServe(k *sim.Kernel, env *Env, object string) (Check, error) {
 				acctOK = false
 			}
 		}
-		if slots := backend.Slots(); completedTotal > slots {
+		if slots := backend.Slots(0); completedTotal > slots {
 			vs = append(vs, failf(acctOracle, "%d completed ops exceed %d allocated log slots", completedTotal, slots))
 			acctOK = false
 		}

@@ -261,8 +261,8 @@ func buildShardKV(k *sim.Kernel, env *Env, ablate bool) (Check, error) {
 				acctOK = false
 			}
 			var invocations int64
-			for _, c := range m.Completed(s) {
-				invocations += c
+			for p := 0; p < n; p++ {
+				invocations += m.ClientStats(s, p).Completed
 			}
 			if invocations != st.Batches {
 				vs = append(vs, failf(acctOracle, "shard %d: stack completed %d invocations, counters say %d batches",

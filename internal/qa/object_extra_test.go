@@ -143,3 +143,26 @@ func TestHandleRangePanics(t *testing.T) {
 	}()
 	so.Handle(7)
 }
+
+// Batch applies a batch's ops in order, one response per op, and is as
+// persistent as the type it lifts: the input state is untouched.
+func TestBatchFoldsInOrder(t *testing.T) {
+	appendLog := TypeFuncs[[]int, int, int]{
+		InitFn: func() []int { return nil },
+		ApplyFn: func(s []int, op int) ([]int, int) {
+			return append(append([]int(nil), s...), op), len(s)
+		},
+	}
+	lifted := Batch[[]int, int, int](appendLog)
+	s0 := append(lifted.Init(), 7)
+	s1, resps := lifted.Apply(s0, []int{8, 9})
+	if len(s0) != 1 || len(s1) != 3 || s1[1] != 8 || s1[2] != 9 {
+		t.Fatalf("states %v -> %v", s0, s1)
+	}
+	if len(resps) != 2 || resps[0] != 1 || resps[1] != 2 {
+		t.Fatalf("responses %v, want [1 2]", resps)
+	}
+	if _, none := lifted.Apply(s1, nil); len(none) != 0 {
+		t.Fatalf("empty batch answered %v", none)
+	}
+}

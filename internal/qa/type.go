@@ -54,6 +54,27 @@ func (t TypeFuncs[S, O, R]) Init() S { return t.InitFn() }
 // Apply implements Type.
 func (t TypeFuncs[S, O, R]) Apply(s S, op O) (S, R) { return t.ApplyFn(s, op) }
 
+// Batch lifts a single-operation type to its batch form: one operation
+// of the lifted type is a slice of t's, applied in order, with one
+// response per op, index-aligned. It is how a type without a native
+// batch form rides a batching request lane (internal/shard); a type that
+// can fold a batch more cheaply than op by op (shard.BatchKV: one map
+// copy per batch) keeps its own Apply.
+func Batch[S, O, R any](t Type[S, O, R]) Type[S, []O, []R] { return batched[S, O, R]{t} }
+
+type batched[S, O, R any] struct{ t Type[S, O, R] }
+
+func (b batched[S, O, R]) Init() S { return b.t.Init() }
+
+// Apply folds the batch; t.Apply is persistent, so the fold is too.
+func (b batched[S, O, R]) Apply(s S, ops []O) (S, []R) {
+	resps := make([]R, len(ops))
+	for i, op := range ops {
+		s, resps[i] = b.t.Apply(s, op)
+	}
+	return s, resps
+}
+
 // QueryOutcome is the result of a Query call.
 type QueryOutcome int
 

@@ -1,26 +1,19 @@
 package serve
 
-// The sharded keyed API. With Config.Shards > 0 the server deploys an
-// internal/shard.Map next to the unsharded backend: S independent TBWF
-// stacks over the same N replicas, a hash of the key picking the stack.
-// Replica workers fold queued keyed ops into batches — one Ω∆ leader
-// read and one QA agreement round per batch — and admission control
-// sheds overload before it reaches a queue:
-//
-//	POST /v1/kv/invoke  {"key":"k42","op":{"kind":"add","delta":1}}
-//	GET  /v1/kv/read?key=k42
-//
-// A rate-limited submission answers 429 (the client should slow down);
-// a full replica queue or a tripped global in-flight cap answers 503
-// (the service is overloaded). Both carry Retry-After.
+// The sharded keyed API. With Config.Shards > 0 the server deploys a
+// second Backend next to the unsharded one: S independent TBWF stacks of
+// the string→int64 keyspace over the same N replicas, a hash of the key
+// picking the stack. Replica workers fold queued keyed ops into batches —
+// one Ω∆ leader read and one QA agreement round per batch — and admission
+// control sheds overload before it reaches a queue (dispatch, serve.go).
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
+	"tbwf/internal/prim"
 	"tbwf/internal/shard"
 )
 
@@ -88,140 +81,37 @@ func ParseAdmission(spec string) (shard.Admission, error) {
 func decodeKVOp(op WireOp) (shard.Op, error) {
 	switch op.Kind {
 	case "get":
-		return shard.Op{Kind: shard.Get}, nil
+		return shard.Op{Kind: shard.Get, Key: op.Key}, nil
 	case "put":
-		return shard.Op{Kind: shard.Put, Val: op.Value}, nil
+		return shard.Op{Kind: shard.Put, Key: op.Key, Val: op.Value}, nil
 	case "add":
-		return shard.Op{Kind: shard.Add, Val: op.Delta}, nil
+		return shard.Op{Kind: shard.Add, Key: op.Key, Val: op.Delta}, nil
 	case "cas":
-		return shard.Op{Kind: shard.CAS, Old: op.Old, Val: op.New}, nil
+		return shard.Op{Kind: shard.CAS, Key: op.Key, Old: op.Old, Val: op.New}, nil
 	default:
 		return shard.Op{}, fmt.Errorf("serve: kv op kind %q (want one of %v)", op.Kind, KVKinds())
 	}
 }
 
-type kvInvokeRequest struct {
-	Key string `json:"key"`
-	// Replica routes the operation; nil or -1 round-robins in the shard.
-	Replica *int   `json:"replica"`
-	Op      WireOp `json:"op"`
-}
-
-type kvWireResp struct {
+type kvResp struct {
 	Prev    int64 `json:"prev"`
 	Found   bool  `json:"found"`
 	Swapped bool  `json:"swapped"`
 }
 
-type kvInvokeResponse struct {
-	OK        bool       `json:"ok"`
-	Shard     int        `json:"shard"`
-	Replica   int        `json:"replica"`
-	Resp      kvWireResp `json:"resp"`
-	LatencyUS float64    `json:"latency_us"`
-}
+var kvRespPool = sync.Pool{New: func() any { return new(kvResp) }}
 
-// dispatchKV runs one admitted-or-shed keyed operation to completion.
-func (s *Server) dispatchKV(w http.ResponseWriter, r *http.Request, key string, replica int, op shard.Op) {
-	pd := shard.NewPending()
-	sh, p, err := s.kv.Submit(key, replica, op, pd)
-	if err != nil {
-		switch err {
-		case shard.ErrRateLimited:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"ok": false, "shard": sh, "error": err.Error(),
-			})
-		case shard.ErrQueueFull, shard.ErrInFlight:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"ok": false, "shard": sh, "error": err.Error(),
-			})
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	select {
-	case res := <-pd.Done():
-		writeJSON(w, http.StatusOK, kvInvokeResponse{
-			OK:      true,
-			Shard:   sh,
-			Replica: p,
-			Resp: kvWireResp{
-				Prev:    res.Resp.Prev,
-				Found:   res.Resp.Found,
-				Swapped: res.Resp.Swapped,
-			},
-			LatencyUS: float64(res.Latency) / 1e3,
-		})
-	case <-r.Context().Done():
-		// Client gone; the batch worker still completes the queued op and
-		// the buffered done channel absorbs the result.
-	case <-s.stopping:
-		writeError(w, http.StatusServiceUnavailable, "server stopping")
-	}
-}
+func (c *kvResp) Release() { kvRespPool.Put(c) }
 
-// kvGuard rejects keyed calls on an unsharded server.
-func (s *Server) kvGuard(w http.ResponseWriter) bool {
-	if s.kv == nil {
-		writeError(w, http.StatusBadRequest, "server is not sharded (start with shards > 0)")
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleKVInvoke(w http.ResponseWriter, r *http.Request) {
-	if !s.kvGuard(w) {
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req kvInvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Key == "" {
-		writeError(w, http.StatusBadRequest, "missing key")
-		return
-	}
-	op, err := decodeKVOp(req.Op)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	replica := -1
-	if req.Replica != nil {
-		replica = *req.Replica
-	}
-	s.dispatchKV(w, r, req.Key, replica, op)
-}
-
-func (s *Server) handleKVRead(w http.ResponseWriter, r *http.Request) {
-	if !s.kvGuard(w) {
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeError(w, http.StatusBadRequest, "missing key")
-		return
-	}
-	replica := -1
-	if q := r.URL.Query().Get("replica"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad replica %q", q)
-			return
-		}
-		replica = v
-	}
-	s.dispatchKV(w, r, key, replica, shard.Op{Kind: shard.Get})
+// newKVBackend deploys the sharded keyspace behind the Backend face: the
+// unkeyed objects' codec over shard.BatchKV, which folds a batch with one
+// map copy and so is deployed as it is, not lifted through qa.Batch.
+func newKVBackend(sub prim.Substrate, lanes shard.ConfigOf[Result]) (Backend, error) {
+	return newBackend(sub, lanes, true, shard.BatchKV{}, decodeKVOp,
+		func(r shard.Resp) any {
+			c := kvRespPool.Get().(*kvResp)
+			c.Prev, c.Found, c.Swapped = r.Prev, r.Found, r.Swapped
+			return c
+		},
+		"get", KVKinds())
 }

@@ -12,6 +12,16 @@ import (
 	"tbwf/internal/shard"
 )
 
+// kvInvokeResponse is the keyed routes' 200 body as a client decodes it:
+// invokeResponse with the shard always present and the response typed.
+type kvInvokeResponse struct {
+	OK        bool    `json:"ok"`
+	Shard     int     `json:"shard"`
+	Replica   int     `json:"replica"`
+	Resp      kvResp  `json:"resp"`
+	LatencyUS float64 `json:"latency_us"`
+}
+
 func jsonBody(t *testing.T, v any) io.Reader {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -213,7 +223,7 @@ func fillQueues(t *testing.T, s *Server, key string) int {
 		if i > 10_000 {
 			t.Fatal("queues never filled")
 		}
-		_, _, err := s.kv.Submit(key, -1, shard.Op{Kind: shard.Add, Val: 1}, shard.NewPending())
+		err := s.kv.Submit(-1, WireOp{Kind: "add", Key: key, Delta: 1}, NewPending("add"))
 		switch err {
 		case nil:
 			admitted, full = admitted+1, 0
@@ -256,7 +266,7 @@ func TestKVInFlightCap503(t *testing.T) {
 		Admission: "inflight=3",
 	})
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.kv.Submit("k", -1, shard.Op{Kind: shard.Add, Val: 1}, shard.NewPending()); err != nil {
+		if err := s.kv.Submit(-1, WireOp{Kind: "add", Key: "k", Delta: 1}, NewPending("add")); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

@@ -18,7 +18,6 @@ type metrics struct {
 
 	perOp    [][]*telemetry.Histogram // [replica][kind]
 	perProc  []*telemetry.Histogram   // [replica], all kinds
-	served   []telemetry.Counter
 	rejected []telemetry.Counter
 	shardLat []*telemetry.Histogram // [shard], keyed-API latency; empty unsharded
 
@@ -37,7 +36,6 @@ func newMetrics(n int, kinds []string, shards int) *metrics {
 		kindIdx:    make(map[string]int, len(kinds)),
 		perOp:      make([][]*telemetry.Histogram, n),
 		perProc:    make([]*telemetry.Histogram, n),
-		served:     make([]telemetry.Counter, n),
 		rejected:   make([]telemetry.Counter, n),
 		leaderHist: telemetry.NewSeries(256),
 		faultTraj:  telemetry.NewSeries(256),
@@ -58,19 +56,12 @@ func newMetrics(n int, kinds []string, shards int) *metrics {
 	return m
 }
 
-func (m *metrics) recordShardServed(sh int, lat time.Duration) {
-	m.shardLat[sh].Record(lat)
-}
-
 func (m *metrics) recordServed(p int, kind string, lat time.Duration) {
 	m.perProc[p].Record(lat)
 	if i, ok := m.kindIdx[kind]; ok {
 		m.perOp[p][i].Record(lat)
 	}
-	m.served[p].Inc()
 }
-
-func (m *metrics) recordRejected(p int) { m.rejected[p].Inc() }
 
 func (m *metrics) recordInjection(inj Injection) {
 	m.mu.Lock()
@@ -246,14 +237,14 @@ func (s *Server) sample() {
 	if trajEvery < 1 {
 		trajEvery = 1
 	}
-	prev := s.backend.Leaders()
+	prev := s.backend.Leaders(0)
 	for i := 0; ; i++ {
 		select {
 		case <-s.stopping:
 			return
 		case <-tick.C:
 		}
-		cur := s.backend.Leaders()
+		cur := s.backend.Leaders(0)
 		for p := range cur {
 			if cur[p] != prev[p] {
 				s.metrics.leaderChanges.Inc()
@@ -266,7 +257,7 @@ func (s *Server) sample() {
 				vec[p] = int64(l)
 			}
 			s.metrics.leaderHist.Append(vec)
-			if m, ok := s.backend.FaultMatrix(); ok {
+			if m, ok := s.backend.FaultMatrix(0); ok {
 				s.metrics.faultTraj.Append(columnSums(m))
 			}
 		}
@@ -292,11 +283,11 @@ func (s *Server) report() MetricsReport {
 		Object:     s.cfg.Object,
 		N:          n,
 		Substrate:  s.cfg.Substrate,
-		Omega:      s.backend.ElectorName(),
+		Omega:      s.backend.ElectorName(0),
 		Elector:    s.electorFlag,
 		UptimeMS:   now.Sub(s.metrics.start).Milliseconds(),
 		Processes:  make([]ProcessMetrics, n),
-		QASlots:    s.backend.Slots(),
+		QASlots:    s.backend.Slots(0),
 		Injections: s.metrics.injectionList(),
 	}
 	if s.netSub != nil {
@@ -310,8 +301,8 @@ func (s *Server) report() MetricsReport {
 	}
 	for p := 0; p < n; p++ {
 		ps := s.rt.ProcStats(p)
-		cs := s.backend.ClientStats(p)
-		qs := s.backend.QAStats(p)
+		cs := s.backend.ClientStats(0, p)
+		qs := s.backend.QAStats(0, p)
 		pm := ProcessMetrics{
 			P:               p,
 			Steps:           ps.Steps,
@@ -320,8 +311,8 @@ func (s *Server) report() MetricsReport {
 			SinceLastStepUS: float64(ps.SinceLastStep) / 1e3,
 			Parked:          ps.Parked,
 			Idle:            ps.Idle,
-			QueueDepth:      s.backend.QueueDepth(p),
-			Served:          s.metrics.served[p].Load(),
+			QueueDepth:      s.backend.QueueDepth(0, p),
+			Served:          s.metrics.perProc[p].Count(),
 			Rejected:        s.metrics.rejected[p].Load(),
 			Client: ClientMetrics{
 				Completed: cs.Completed,
@@ -345,7 +336,7 @@ func (s *Server) report() MetricsReport {
 		}
 		rep.Processes[p] = pm
 	}
-	leaders := s.backend.Leaders()
+	leaders := s.backend.Leaders(0)
 	agreed := leaders[0]
 	for _, l := range leaders {
 		if l != agreed {
@@ -359,7 +350,7 @@ func (s *Server) report() MetricsReport {
 		Changes:    s.metrics.leaderChanges.Load(),
 		History:    s.metrics.leaderHist.Samples(),
 	}
-	if m, ok := s.backend.FaultMatrix(); ok {
+	if m, ok := s.backend.FaultMatrix(0); ok {
 		rep.Faults = FaultMetrics{
 			Supported:  true,
 			Matrix:     m,

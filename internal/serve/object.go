@@ -9,10 +9,11 @@ import (
 
 	"tbwf/internal/core"
 	"tbwf/internal/deploy"
-	"tbwf/internal/mpsc"
+	"tbwf/internal/elector"
 	"tbwf/internal/objtype"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
+	"tbwf/internal/shard"
 )
 
 // WireOp is the object-agnostic JSON encoding of one operation. Kind
@@ -22,8 +23,12 @@ import (
 //	register: read, write(value), cas(old,new)
 //	snapshot: update(index,value), scan
 //	jobqueue: enq(value), deq
+//	kv:       get, put(value), add(delta), cas(old,new) — all keyed
 type WireOp struct {
-	Kind  string `json:"kind"`
+	Kind string `json:"kind"`
+	// Key routes an operation of the keyed object. It travels in the
+	// request envelope ({"key":…,"op":{…}}), not in the op's own JSON.
+	Key   string `json:"-"`
 	Delta int64  `json:"delta,omitempty"`
 	Value int64  `json:"value,omitempty"`
 	Old   int64  `json:"old,omitempty"`
@@ -31,69 +36,18 @@ type WireOp struct {
 	Index int    `json:"index,omitempty"`
 }
 
-// ErrQueueFull is returned by a backend when a replica's bounded request
-// queue is full — the service's backpressure signal (HTTP 503).
-var ErrQueueFull = errors.New("serve: replica queue full")
+// The wire protocol's instantiation of the request path (internal/shard):
+// a Pending delivers a Result, under shard.PendingOf's ownership rule.
+type (
+	Pending = shard.PendingOf[Result]
+	Hooks   = shard.HooksOf[Result]
+)
 
-// errNoReadOp marks objects without a read-only operation.
-var errNoReadOp = errors.New("serve: object has no read-only operation")
+var pendingPool sync.Pool
 
-// Pending is one in-flight request. Create with NewPending, Submit it,
-// then either block on Done (the HTTP path) or Poll from a cooperative
-// task (the simulation path — sim tasks must never block on channels).
-type Pending struct {
-	// Kind is the wire operation kind, for per-kind telemetry.
-	Kind string
-	// Tag is caller correlation data, carried through untouched (the
-	// fuzzer's serve targets stamp submit-order sequence numbers here).
-	Tag any
-
-	start time.Time
-	done  chan Result
-}
-
-// pendingPool recycles Pending slots (and their buffered completion
-// channels), so the steady-state submit path allocates nothing.
-// Ownership rule: a Pending may be Released only by the caller that
-// received its Result — a caller that abandons a request (e.g. HTTP
-// context cancellation while the op is queued) must NOT Release, because
-// the worker still holds the Pending and will complete it; the abandoned
-// Pending is simply garbage-collected.
-var pendingPool = sync.Pool{
-	New: func() any { return &Pending{done: make(chan Result, 1)} },
-}
-
-// NewPending prepares an in-flight request slot for one operation. The
-// slot comes from a pool; callers that consume the Result may hand the
-// slot back with Release.
-func NewPending(kind string) *Pending {
-	pd := pendingPool.Get().(*Pending)
-	pd.Kind = kind
-	pd.Tag = nil
-	pd.start = time.Now()
-	return pd
-}
-
-// Release returns the Pending to the pool. Only the caller that received
-// the Result may call it, exactly once, and must not touch pd after.
-func (pd *Pending) Release() {
-	pd.Tag = nil
-	pendingPool.Put(pd)
-}
-
-// Done exposes the completion channel; exactly one Result arrives.
-func (pd *Pending) Done() <-chan Result { return pd.done }
-
-// Poll returns the result without blocking; ok is false while the
-// operation is still in flight.
-func (pd *Pending) Poll() (Result, bool) {
-	select {
-	case r := <-pd.done:
-		return r, true
-	default:
-		return Result{}, false
-	}
-}
+// NewPending prepares a pooled in-flight request slot for one operation
+// of the given wire kind.
+func NewPending(kind string) *Pending { return shard.NewPendingOf[Result](&pendingPool, kind) }
 
 // Result is one completed operation.
 type Result struct {
@@ -124,43 +78,44 @@ func ReleaseResult(r Result) {
 	}
 }
 
-// Hooks observe backend events. Both are optional and are called from
-// substrate tasks (Served) or the submitter (Rejected), so they must not
-// block.
-type Hooks struct {
-	// Served fires after replica p completes pd, before the result is
-	// delivered.
-	Served func(p int, pd *Pending, lat time.Duration)
-	// Rejected fires when replica p's queue backpressures a submission.
-	Rejected func(p int)
-}
-
-// Backend is the object-type-erased face of a deployed TBWF stack on any
-// substrate; the generic tbwfBackend implements it for each sequential
-// type.
+// Backend is the object-type-erased face of a deployed request path
+// (shard.MapOf) on any substrate: the wire codec (Submit, ReadOp, Kinds)
+// and the Map's own Start and telemetry taps, indexed by shard. An unkeyed
+// object is the one-shard case — its only shard is 0 and every key routes
+// there.
 type Backend interface {
-	// Start spawns the per-replica worker tasks on the substrate.
+	// Start spawns the per-(shard, replica) worker tasks on the substrate.
 	Start()
-	// Submit decodes op and enqueues it for replica p; ErrQueueFull means
-	// backpressure, other errors are bad requests. On success the result
-	// arrives on pd.Done.
+	// Submit decodes op and hands it to MapOf.Submit, keyed by op.Key, for
+	// replica p (p < 0 round-robins). The error is nil, an admission
+	// verdict (shard.ErrRateLimited, ErrQueueFull, ErrInFlight), or a bad
+	// request. On success the result arrives on pd.Done.
 	Submit(p int, op WireOp, pd *Pending) error
 	// ReadOp returns the object's canonical read-only operation, if any.
 	ReadOp() (WireOp, error)
 	// Kinds lists the operation kinds the object accepts.
 	Kinds() []string
-	QueueDepth(p int) int
-	ClientStats(p int) core.Stats
-	QAStats(p int) qa.HandleStats
-	Slots() int64
+	// The Map's taps; s is a shard, p a replica.
+	Shards() int
+	ShardFor(key string) int
+	InFlight() int64
+	Stats(s int) shard.Stats
+	MeanBatch(s int) float64
+	BatchHist(s int) []int64
+	QueueDepth(s, p int) int
+	ClientStats(s, p int) core.Stats
+	QAStats(s, p int) qa.HandleStats
+	Slots(s int) int64
 	// Leaders is each process's current Ω∆ leader output (telemetry tap).
-	Leaders() []int
+	Leaders(s int) []int
 	// FaultMatrix is the elector's per-pair fault/penalty matrix; ok is
 	// false when the elector maintains none (e.g. abortable-registers Ω∆).
-	FaultMatrix() (matrix [][]int64, ok bool)
+	FaultMatrix(s int) (matrix [][]int64, ok bool)
 	// ElectorName reports which Ω∆ implementation the stack runs on
-	// ("atomic-registers", "abortable-registers", "nerio-lease", ...).
-	ElectorName() string
+	// ("atomic-registers", "abortable-registers", "nerio-lease", ...);
+	// ElectorFlag its canonical flag name.
+	ElectorName(s int) string
+	ElectorFlag(s int) string
 }
 
 // BackendConfig sizes a backend deployment.
@@ -180,153 +135,84 @@ type BackendConfig struct {
 	Build deploy.BuildConfig
 }
 
-// NewBackend deploys the named object's TBWF stack on the substrate and
-// returns its wire-protocol face. Call Start to spawn the replica
-// workers.
+// unkeyedBatch is the batch bound of an unkeyed object's one-shard Map.
+// It is 1, so every op is still its own Invoke: raising it is a
+// performance change that needs its own measurement (the benchmark's
+// http-slow1 workload divides CPU and steps by the clients' completed
+// count, which must stay op-granular until that is revisited).
+const unkeyedBatch = 1
+
+// NewBackend deploys the named object's TBWF stack on the substrate as a
+// one-shard request path with zero-value admission (a full queue answers
+// shard.ErrQueueFull, nothing else sheds) and returns its wire-protocol
+// face. Call Start to spawn the replica workers.
 func NewBackend(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error) {
 	build, ok := objectBuilders[cfg.Object]
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown object %q (have %v)", cfg.Object, Objects())
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
+	if cfg.Build.NonCanonical {
+		return nil, errors.New("serve: the request path deploys canonical clients only")
 	}
 	if cfg.SnapshotComponents <= 0 {
 		cfg.SnapshotComponents = sub.N()
 	}
-	return build(sub, cfg, hooks)
+	lanes := shard.ConfigOf[Result]{
+		Shards:          1,
+		QueueDepth:      cfg.QueueDepth,
+		MaxBatch:        unkeyedBatch,
+		RegisterOptions: cfg.Build.RegisterOptions,
+		Hooks:           hooks,
+	}
+	if cfg.Build.Elector != nil {
+		lanes.Electors = []elector.Builder{cfg.Build.Elector}
+	}
+	return build(sub, cfg, lanes)
 }
 
-// queued pairs a decoded operation with its in-flight slot inside a
-// replica's request queue. The queue itself is the repo's single bounded
-// MPSC implementation (internal/mpsc): lock-free pushes from any number
-// of submitters, pop order exactly equal to linearized push order (the
-// fuzzer's FIFO oracle), and non-blocking polls so simulation-kernel
-// tasks never block outside the kernel's own scheduling (the cardinal
-// sim rule).
-type queued[O any] struct {
-	op O
-	pd *Pending
+// backend is the wire codec over one shard.MapOf: decode on the way in
+// (Submit), encode on the way out (the Map's deliver function, set by
+// newBackend). Queue, worker and Pending all belong to the Map, whose
+// telemetry taps are promoted as they are.
+type backend[S, O, R any] struct {
+	*shard.MapOf[S, O, R, Result]
+	decode func(WireOp) (O, error)
+	read   string // kind of the read-only op; "" when the object has none
+	kinds  []string
 }
 
-// tbwfBackend adapts one deploy.Stack to the wire protocol: a bounded
-// request queue and a single worker task per replica (a process's
-// operations must all flow through its one client, from its own task).
-// On an empty ring the worker waits in Queue.Await: skip steps on the
-// simulation kernel, a park on the real-time runtime. A worker with no
-// operation is not a candidate and owes Ω∆ nothing; its timeliness
-// matters, and is observed, only from the moment Invoke sets candidate_p.
-type tbwfBackend[S, O, R any] struct {
-	sub     prim.Substrate
-	hooks   Hooks
-	stack   *deploy.Stack[S, O, R]
-	decode  func(WireOp) (O, error)
-	encode  func(R) any
-	read    *WireOp // nil: no read-only op
-	kindsL  []string
-	dropRaw bool
-	queues  []*mpsc.Queue[queued[O]]
-}
-
-// workerBatch bounds how many queued items one worker wake drains before
-// re-checking its queue: enough to amortize the queue poll, small enough
-// to keep a replica's latency tail bounded under bursts.
-const workerBatch = 32
-
-func newBackend[S, O, R any](sub prim.Substrate, cfg BackendConfig, hooks Hooks, typ qa.Type[S, O, R],
-	decode func(WireOp) (O, error), encode func(R) any, read *WireOp, kinds []string) (*tbwfBackend[S, O, R], error) {
-	stack, err := deploy.Build[S, O, R](sub, typ, cfg.Build)
+func newBackend[S, O, R any](sub prim.Substrate, lanes shard.ConfigOf[Result], dropRaw bool, typ qa.Type[S, []O, []R],
+	decode func(WireOp) (O, error), encode func(R) any, read string, kinds []string) (Backend, error) {
+	m, err := shard.NewOf(sub, typ, func(r R, lat time.Duration) Result {
+		res := Result{Resp: encode(r), Latency: lat}
+		if !dropRaw {
+			res.Raw = r
+		}
+		return res
+	}, lanes)
 	if err != nil {
 		return nil, err
 	}
-	b := &tbwfBackend[S, O, R]{
-		sub:     sub,
-		hooks:   hooks,
-		stack:   stack,
-		decode:  decode,
-		encode:  encode,
-		read:    read,
-		kindsL:  kinds,
-		dropRaw: cfg.DropRaw,
-		queues:  make([]*mpsc.Queue[queued[O]], sub.N()),
-	}
-	for p := range b.queues {
-		b.queues[p] = mpsc.New[queued[O]](cfg.QueueDepth)
-	}
-	return b, nil
+	return &backend[S, O, R]{MapOf: m, decode: decode, read: read, kinds: kinds}, nil
 }
 
-func (b *tbwfBackend[S, O, R]) Start() {
-	for p := 0; p < b.sub.N(); p++ {
-		p := p
-		q := b.queues[p]
-		client := b.stack.Clients[p]
-		b.sub.Spawn(p, fmt.Sprintf("serve-worker[%d]", p), func(pp prim.Proc) {
-			batch := make([]queued[O], workerBatch)
-			for {
-				n := q.PopBatch(batch)
-				if n == 0 {
-					q.Await(pp) // unwinds via prim.ExitTask on stop/crash/budget
-					continue
-				}
-				// One queue wake services the whole run of queued ops,
-				// mirroring internal/shard's batch amortization; each op
-				// still gets its own Invoke (the serve layer's objects are
-				// not batch-typed).
-				for i := 0; i < n; i++ {
-					item := batch[i]
-					batch[i] = queued[O]{} // don't retain the Pending
-					r := client.Invoke(pp, item.op)
-					lat := time.Since(item.pd.start)
-					if b.hooks.Served != nil {
-						b.hooks.Served(p, item.pd, lat)
-					}
-					res := Result{Resp: b.encode(r), Latency: lat}
-					if !b.dropRaw {
-						res.Raw = r
-					}
-					item.pd.done <- res
-				}
-			}
-		})
-	}
-}
-
-func (b *tbwfBackend[S, O, R]) Submit(p int, op WireOp, pd *Pending) error {
+func (b *backend[S, O, R]) Submit(p int, op WireOp, pd *Pending) error {
 	decoded, err := b.decode(op)
 	if err != nil {
 		return err
 	}
-	if !b.queues[p].Push(queued[O]{op: decoded, pd: pd}) {
-		if b.hooks.Rejected != nil {
-			b.hooks.Rejected(p)
-		}
-		return ErrQueueFull
-	}
-	return nil
+	_, _, err = b.MapOf.Submit(op.Key, p, decoded, pd)
+	return err
 }
 
-func (b *tbwfBackend[S, O, R]) ReadOp() (WireOp, error) {
-	if b.read == nil {
-		return WireOp{}, errNoReadOp
+func (b *backend[S, O, R]) ReadOp() (WireOp, error) {
+	if b.read == "" {
+		return WireOp{}, errors.New("serve: object has no read-only operation")
 	}
-	return *b.read, nil
+	return WireOp{Kind: b.read}, nil
 }
 
-func (b *tbwfBackend[S, O, R]) Kinds() []string      { return b.kindsL }
-func (b *tbwfBackend[S, O, R]) QueueDepth(p int) int { return b.queues[p].Len() }
-func (b *tbwfBackend[S, O, R]) ClientStats(p int) core.Stats {
-	return b.stack.Clients[p].Stats()
-}
-func (b *tbwfBackend[S, O, R]) QAStats(p int) qa.HandleStats {
-	return b.stack.Object.Handle(p).Stats()
-}
-func (b *tbwfBackend[S, O, R]) Slots() int64   { return b.stack.Object.Slots() }
-func (b *tbwfBackend[S, O, R]) Leaders() []int { return b.stack.Leaders() }
-func (b *tbwfBackend[S, O, R]) FaultMatrix() ([][]int64, bool) {
-	return b.stack.FaultMatrix()
-}
-func (b *tbwfBackend[S, O, R]) ElectorName() string { return b.stack.Elector.Name() }
+func (b *backend[S, O, R]) Kinds() []string { return b.kinds }
 
 // Objects returns the deployable object names, sorted.
 func Objects() []string {
@@ -338,7 +224,7 @@ func Objects() []string {
 	return names
 }
 
-var objectBuilders = map[string]func(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error){
+var objectBuilders = map[string]func(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error){
 	"counter":  buildCounter,
 	"register": buildRegister,
 	"snapshot": buildSnapshot,
@@ -392,9 +278,8 @@ var jobqueueRespPool = sync.Pool{New: func() any { return new(jobqueueResp) }}
 
 func (c *jobqueueResp) Release() { jobqueueRespPool.Put(c) }
 
-func buildCounter(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error) {
-	readOp := WireOp{Kind: "read"}
-	return newBackend[int64, objtype.CounterOp, int64](sub, cfg, hooks, objtype.Counter{},
+func buildCounter(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error) {
+	return newBackend(sub, lanes, cfg.DropRaw, qa.Batch(objtype.Counter{}),
 		func(op WireOp) (objtype.CounterOp, error) {
 			switch op.Kind {
 			case "add":
@@ -409,12 +294,11 @@ func buildCounter(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, 
 			c.Prev = r
 			return c
 		},
-		&readOp, []string{"add", "read"})
+		"read", []string{"add", "read"})
 }
 
-func buildRegister(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error) {
-	readOp := WireOp{Kind: "read"}
-	return newBackend[int64, objtype.RegOp, objtype.RegResp](sub, cfg, hooks, objtype.Register{},
+func buildRegister(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error) {
+	return newBackend(sub, lanes, cfg.DropRaw, qa.Batch(objtype.Register{}),
 		func(op WireOp) (objtype.RegOp, error) {
 			switch op.Kind {
 			case "read":
@@ -431,13 +315,12 @@ func buildRegister(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend,
 			c.Prev, c.Swapped = r.Prev, r.Swapped
 			return c
 		},
-		&readOp, []string{"read", "write", "cas"})
+		"read", []string{"read", "write", "cas"})
 }
 
-func buildSnapshot(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error) {
+func buildSnapshot(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error) {
 	m := cfg.SnapshotComponents
-	readOp := WireOp{Kind: "scan"}
-	return newBackend[[]int64, objtype.SnapOp, objtype.SnapResp](sub, cfg, hooks, objtype.Snapshot{Components: m},
+	return newBackend(sub, lanes, cfg.DropRaw, qa.Batch(objtype.Snapshot{Components: m}),
 		func(op WireOp) (objtype.SnapOp, error) {
 			switch op.Kind {
 			case "update":
@@ -460,11 +343,11 @@ func buildSnapshot(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend,
 			c.Prev = r.Prev
 			return c
 		},
-		&readOp, []string{"update", "scan"})
+		"scan", []string{"update", "scan"})
 }
 
-func buildJobQueue(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, error) {
-	return newBackend[[]int64, objtype.QueueOp, objtype.QueueResp](sub, cfg, hooks, objtype.Queue{},
+func buildJobQueue(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error) {
+	return newBackend(sub, lanes, cfg.DropRaw, qa.Batch(objtype.Queue{}),
 		func(op WireOp) (objtype.QueueOp, error) {
 			switch op.Kind {
 			case "enq":
@@ -479,5 +362,5 @@ func buildJobQueue(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend,
 			c.Value, c.Ok = r.V, r.Ok
 			return c
 		},
-		nil, []string{"enq", "deq"})
+		"", []string{"enq", "deq"})
 }

@@ -7,13 +7,16 @@
 // queue through the process's TBWF client — so a request's latency is
 // exactly the time for that replica, at its current timeliness, to push
 // the operation through the paper's Figure 7 protocol. A full queue
-// produces immediate backpressure (ErrQueueFull → HTTP 503) instead of
-// unbounded buffering.
+// produces immediate backpressure (shard.ErrQueueFull → HTTP 503) instead
+// of unbounded buffering.
 //
-// The JSON API:
+// The JSON API. The four operation routes are one handler (handleOp) over
+// one dispatch; the keyed pair needs Config.Shards > 0 (kv.go):
 //
-//	POST /v1/invoke  {"replica":0,"op":{"kind":"add","delta":1}}
+//	POST /v1/invoke     {"replica":0,"op":{"kind":"add","delta":1}}
 //	GET  /v1/read?replica=0        — the object's read-only op, if any
+//	POST /v1/kv/invoke  {"key":"k42","op":{"kind":"add","delta":1}}
+//	GET  /v1/kv/read?key=k42
 //	GET  /v1/stats                 — light liveness snapshot
 //	GET  /v1/metrics               — full MetricsReport (latency histograms,
 //	                                 leader churn, step gaps, fault counters)
@@ -32,7 +35,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tbwf/internal/deploy"
@@ -122,7 +124,7 @@ type Server struct {
 	backend     Backend
 	metrics     *metrics
 	// kv is the sharded keyspace behind /v1/kv/*; nil when Shards is 0.
-	kv  *shard.Map
+	kv  Backend
 	mux *http.ServeMux
 
 	// netSub/tcp/nodes are set when the stack runs on the net substrate:
@@ -134,10 +136,13 @@ type Server struct {
 	nodes  []*net.NodeServer
 	only   int
 
-	rr          atomic.Int64 // round-robin replica cursor
 	stopping    chan struct{}
 	stopOnce    sync.Once
 	samplerDone chan struct{}
+
+	// ablateAbandonRelease, for the cancellation test's negative control
+	// only, makes an abandoning handler Release its Pending.
+	ablateAbandonRelease bool
 }
 
 // New builds the runtime, deploys the object, starts the replica workers
@@ -149,9 +154,6 @@ func New(cfg Config) (*Server, error) {
 	builder, err := elector.Resolve(cfg.Elector, cfg.Omega)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 2 * time.Millisecond
@@ -232,24 +234,22 @@ func New(cfg Config) (*Server, error) {
 		DropRaw: true,
 		Build:   deploy.BuildConfig{Elector: builder},
 	}, Hooks{
-		Served:   func(p int, pd *Pending, lat time.Duration) { s.metrics.recordServed(p, pd.Kind, lat) },
-		Rejected: func(p int) { s.metrics.recordRejected(p) },
+		Served: func(_, p int, pd *Pending, _ int, lat time.Duration) { s.metrics.recordServed(p, pd.Kind, lat) },
+		Shed:   func(_, p int, _ error) { s.metrics.rejected[p].Inc() },
 	})
 	if err != nil {
 		return fail(err)
 	}
 	s.backend = b
 	if cfg.Shards > 0 {
-		kv, err := shard.New(sub, shard.Config{
+		kv, err := newKVBackend(sub, shard.ConfigOf[Result]{
 			Shards:     cfg.Shards,
 			QueueDepth: cfg.QueueDepth,
 			MaxBatch:   cfg.MaxBatch,
 			Electors:   shardElectors,
 			Admission:  admission,
-			Hooks: shard.Hooks{
-				Served: func(sh, p int, pd *shard.Pending, batch int, lat time.Duration) {
-					s.metrics.recordShardServed(sh, lat)
-				},
+			Hooks: Hooks{
+				Served: func(sh, _ int, _ *Pending, _ int, lat time.Duration) { s.metrics.shardLat[sh].Record(lat) },
 			},
 		})
 		if err != nil {
@@ -265,10 +265,10 @@ func New(cfg Config) (*Server, error) {
 	go s.sample()
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/invoke", s.handleInvoke)
-	s.mux.HandleFunc("/v1/read", s.handleRead)
-	s.mux.HandleFunc("/v1/kv/invoke", s.handleKVInvoke)
-	s.mux.HandleFunc("/v1/kv/read", s.handleKVRead)
+	s.mux.HandleFunc("/v1/invoke", s.handleOp(s.backend, false, false))
+	s.mux.HandleFunc("/v1/read", s.handleOp(s.backend, false, true))
+	s.mux.HandleFunc("/v1/kv/invoke", s.handleOp(s.kv, true, false))
+	s.mux.HandleFunc("/v1/kv/read", s.handleOp(s.kv, true, true))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/fault", s.handleFault)
@@ -363,114 +363,137 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]any{"ok": false, "error": fmt.Sprintf(format, args...)})
 }
 
+// invokeRequest is the request envelope of the operation routes.
 type invokeRequest struct {
-	// Replica routes the operation; nil or -1 round-robins.
+	// Key routes a keyed operation to its shard (the kv routes only).
+	Key string `json:"key"`
+	// Replica routes the operation; nil or -1 round-robins (within the
+	// key's shard on the kv routes).
 	Replica *int   `json:"replica"`
 	Op      WireOp `json:"op"`
 }
 
+// invokeResponse is the 200 body. Shard is the key's shard — 0 on the
+// unkeyed routes, whose object is a one-shard deployment.
 type invokeResponse struct {
 	OK        bool    `json:"ok"`
+	Shard     int     `json:"shard"`
 	Replica   int     `json:"replica"`
 	Resp      any     `json:"resp"`
 	LatencyUS float64 `json:"latency_us"`
 }
 
-func (s *Server) pickReplica(req *int) (int, error) {
-	if s.only >= 0 {
-		// Distributed net deploy: this process animates exactly one
-		// replica; its peers serve the others.
-		if req != nil && *req >= 0 && *req != s.only {
-			return 0, fmt.Errorf("replica %d is served by its own process (this process serves %d)", *req, s.only)
-		}
-		return s.only, nil
-	}
-	if req == nil || *req < 0 {
-		return int(s.rr.Add(1)-1) % s.cfg.N, nil
-	}
-	if *req >= s.cfg.N {
-		return 0, fmt.Errorf("replica %d out of range [0,%d)", *req, s.cfg.N)
-	}
-	return *req, nil
-}
-
-// dispatch enqueues op on replica p and waits for its completion, the
-// client's disconnect, or shutdown.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, p int, op WireOp) {
-	pd := NewPending(op.Kind)
-	if err := s.backend.Submit(p, op, pd); err != nil {
-		if err == ErrQueueFull {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "replica %d backpressured: %v", p, err)
+// handleOp is the handler behind all four operation routes. b is the
+// route's backend (nil: the keyed routes of an unsharded server); keyed
+// says requests carry a routing key; read makes it the GET shorthand for
+// the backend's read-only operation instead of a POSTed envelope.
+func (s *Server) handleOp(b Backend, keyed, read bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if b == nil {
+			writeError(w, http.StatusBadRequest, "server is not sharded (start with shards > 0)")
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		method := http.MethodPost
+		if read {
+			method = http.MethodGet
+		}
+		if r.Method != method {
+			writeError(w, http.StatusMethodNotAllowed, "%s only", method)
+			return
+		}
+		var req invokeRequest
+		if read {
+			op, err := b.ReadOp()
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "object %s: %v", s.cfg.Object, err)
+				return
+			}
+			query := r.URL.Query()
+			req.Op, req.Key = op, query.Get("key")
+			if q := query.Get("replica"); q != "" {
+				v, err := strconv.Atoi(q)
+				if err != nil {
+					writeError(w, http.StatusBadRequest, "bad replica %q", q)
+					return
+				}
+				req.Replica = &v
+			}
+		} else if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		if keyed {
+			if req.Key == "" {
+				writeError(w, http.StatusBadRequest, "missing key")
+				return
+			}
+			req.Op.Key = req.Key
+		}
+		// A negative replica leaves the choice to the round-robin cursor of
+		// the shard the op routes to.
+		p := -1
+		if req.Replica != nil {
+			p = *req.Replica
+		}
+		if s.only >= 0 {
+			// Distributed net deploy: this process animates exactly one
+			// replica; its peers serve the others.
+			if p >= 0 && p != s.only {
+				writeError(w, http.StatusBadRequest, "replica %d is served by its own process (this process serves %d)", p, s.only)
+				return
+			}
+			p = s.only
+		}
+		s.dispatch(w, r, b, p, req.Op)
+	}
+}
+
+// dispatch submits op to b and waits for its completion, the client's
+// disconnect, or shutdown. It is the one place where an admission
+// verdict becomes a status code: a rate-limited submission answers 429
+// (the client should slow down), a full replica queue or a tripped
+// in-flight cap 503 (the service is overloaded), both with Retry-After;
+// anything else Submit refuses is a bad request.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, b Backend, p int, op WireOp) {
+	pd := NewPending(op.Kind)
+	if err := b.Submit(p, op, pd); err != nil {
+		code := http.StatusServiceUnavailable
+		switch err {
+		case shard.ErrRateLimited:
+			code = http.StatusTooManyRequests
+		case shard.ErrQueueFull, shard.ErrInFlight:
+		default:
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, code, map[string]any{
+			"ok": false, "shard": pd.Shard, "replica": pd.Replica, "error": err.Error(),
+		})
 		return
 	}
 	select {
 	case res := <-pd.Done():
 		writeJSON(w, http.StatusOK, invokeResponse{
 			OK:        true,
-			Replica:   p,
+			Shard:     pd.Shard,
+			Replica:   pd.Replica,
 			Resp:      res.Resp,
 			LatencyUS: float64(res.Latency) / 1e3,
 		})
-		// This handler consumed the Result, so it owns the pooled parts.
+		// This handler received the Result, so it owns the pooled parts.
 		ReleaseResult(res)
 		pd.Release()
 	case <-r.Context().Done():
 		// Client gone; the worker will still complete the operation (it is
-		// already queued) and the buffered done channel absorbs the result.
-		// The abandoned Pending must NOT be released — the worker still
-		// holds it; it is garbage-collected instead.
+		// already queued) and its buffered completion channel absorbs the result.
+		// An abandoner never releases (shard.PendingOf's ownership rule).
+		if s.ablateAbandonRelease {
+			pd.Release()
+		}
 	case <-s.stopping:
 		writeError(w, http.StatusServiceUnavailable, "server stopping")
 	}
-}
-
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req invokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	p, err := s.pickReplica(req.Replica)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.dispatch(w, r, p, req.Op)
-}
-
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	op, err := s.backend.ReadOp()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "object %s: %v", s.cfg.Object, err)
-		return
-	}
-	replica := (*int)(nil)
-	if q := r.URL.Query().Get("replica"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad replica %q", q)
-			return
-		}
-		replica = &v
-	}
-	p, err := s.pickReplica(replica)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.dispatch(w, r, p, op)
 }
 
 // statsReport is the light /v1/stats document. Omega carries the
@@ -501,20 +524,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Object:    s.cfg.Object,
 		N:         s.cfg.N,
 		Substrate: s.cfg.Substrate,
-		Omega:     s.backend.ElectorName(),
+		Omega:     s.backend.ElectorName(0),
 		Elector:   s.electorFlag,
 		UptimeMS:  time.Since(s.metrics.start).Milliseconds(),
 		Kinds:     s.backend.Kinds(),
 	}
 	for p := 0; p < s.cfg.N; p++ {
-		rep.Served = append(rep.Served, s.metrics.served[p].Load())
+		rep.Served = append(rep.Served, s.metrics.perProc[p].Count())
 		rep.Rejected = append(rep.Rejected, s.metrics.rejected[p].Load())
-		rep.Queued = append(rep.Queued, s.backend.QueueDepth(p))
-		rep.Completed = append(rep.Completed, s.backend.ClientStats(p).Completed)
+		rep.Queued = append(rep.Queued, s.backend.QueueDepth(0, p))
+		rep.Completed = append(rep.Completed, s.backend.ClientStats(0, p).Completed)
 	}
 	if s.kv != nil {
 		rep.Shards = s.kv.Shards()
-		rep.KVKinds = KVKinds()
+		rep.KVKinds = s.kv.Kinds()
 		for sh := 0; sh < s.kv.Shards(); sh++ {
 			st := s.kv.Stats(sh)
 			rep.KVServed += st.Served

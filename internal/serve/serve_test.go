@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"tbwf/internal/shard"
 )
 
 func TestParseProfile(t *testing.T) {
@@ -479,7 +481,7 @@ func TestBackpressure(t *testing.T) {
 	full := 0
 	for i := 0; i < 30; i++ {
 		pd := NewPending("add")
-		if err := s.backend.Submit(0, WireOp{Kind: "add", Delta: 1}, pd); err == ErrQueueFull {
+		if err := s.backend.Submit(0, WireOp{Kind: "add", Delta: 1}, pd); err == shard.ErrQueueFull {
 			full++
 		}
 	}

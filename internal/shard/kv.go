@@ -18,6 +18,13 @@
 // per-process progress guarantee is supposed to survive.
 package shard
 
+import (
+	"sync"
+	"time"
+
+	"tbwf/internal/prim"
+)
+
 // Kind selects a KV operation.
 type Kind uint8
 
@@ -141,6 +148,49 @@ func (BatchKV) Apply(s map[string]int64, ops []Op) (map[string]int64, []Resp) {
 		resps[i] = r
 	}
 	return next, resps
+}
+
+// The keyspace's instantiation of the request path.
+type (
+	Config  = ConfigOf[Result]
+	Hooks   = HooksOf[Result]
+	Pending = PendingOf[Result]
+)
+
+// Result is one completed keyed operation.
+type Result struct {
+	Resp Resp
+	// Latency is submit-to-completion wall time (meaningful on the live
+	// substrate; host time, not steps, on the sim kernel).
+	Latency time.Duration
+}
+
+var pendingPool sync.Pool
+
+// NewPending prepares an in-flight slot for one keyed operation.
+func NewPending() *Pending { return NewPendingOf[Result](&pendingPool, "") }
+
+// Map is the sharded keyspace: a MapOf over BatchKV whose Submit stamps
+// the routing key into the op.
+type Map struct {
+	*MapOf[map[string]int64, Op, Resp, Result]
+}
+
+// New deploys the keyspace's cfg.Shards stacks on the substrate.
+func New(sub prim.Substrate, cfg Config) (*Map, error) {
+	m, err := NewOf(sub, BatchKV{}, func(r Resp, lat time.Duration) Result {
+		return Result{Resp: r, Latency: lat}
+	}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Map{m}, nil
+}
+
+// Submit is MapOf.Submit with op.Key overwritten by key.
+func (m *Map) Submit(key string, replica int, op Op, pd *Pending) (int, int, error) {
+	op.Key = key
+	return m.MapOf.Submit(key, replica, op, pd)
 }
 
 // KeyShard maps a key to its shard: FNV-1a over the key bytes, mod the

@@ -2,19 +2,23 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"tbwf/internal/core"
 	"tbwf/internal/deploy"
 	"tbwf/internal/elector"
 	"tbwf/internal/mpsc"
 	"tbwf/internal/prim"
+	"tbwf/internal/qa"
 	"tbwf/internal/register"
 	"tbwf/internal/serve/telemetry"
 )
 
-// Config sizes a sharded keyspace deployment.
-type Config struct {
+// ConfigOf sizes a deployment of request lanes whose completions deliver
+// a T (Config is the keyspace's instantiation).
+type ConfigOf[T any] struct {
 	// Shards is the number of independent TBWF stacks (default 1).
 	Shards int
 	// QueueDepth bounds each (shard, replica) request queue (default 64).
@@ -30,7 +34,7 @@ type Config struct {
 	// RegisterOptions apply to every abortable register of every stack.
 	RegisterOptions []register.AbOption
 	// Hooks observe served and shed operations (telemetry taps).
-	Hooks Hooks
+	Hooks HooksOf[T]
 	// AblateBatchFence, for the fuzzer's negative control only, rotates
 	// response assignment within multi-op batches — breaking the fence
 	// between batch order and response order that makes batching
@@ -38,64 +42,88 @@ type Config struct {
 	AblateBatchFence bool
 }
 
-// Hooks observe Map events. Both are optional; Served fires from
+// HooksOf observe Map events. Both are optional; Served fires from
 // substrate worker tasks and Shed from the submitter, so neither may
 // block.
-type Hooks struct {
+type HooksOf[T any] struct {
 	// Served fires after replica p of shard s completes pd as part of a
 	// batch of the given size, before the result is delivered.
-	Served func(s, p int, pd *Pending, batch int, lat time.Duration)
-	// Shed fires when a submission to shard s is refused with err (one of
-	// ErrRateLimited, ErrQueueFull, ErrInFlight).
-	Shed func(s int, err error)
+	Served func(s, p int, pd *PendingOf[T], batch int, lat time.Duration)
+	// Shed fires when a submission to replica p of shard s is refused with
+	// err (one of ErrRateLimited, ErrQueueFull, ErrInFlight).
+	Shed func(s, p int, err error)
 }
 
-// Pending is one in-flight keyed request. Create with NewPending,
-// Submit it, then block on Done (the HTTP path) or Poll cooperatively
-// (sim tasks must never block on channels).
-type Pending struct {
-	// Tag is caller correlation data, carried through untouched.
+// PendingOf is one in-flight request whose completion delivers a T — the
+// only in-flight slot type in the repo (Pending is the keyspace's
+// instantiation, serve.Pending the wire protocol's). Create with
+// NewPendingOf, Submit it, then block on Done (the HTTP path) or Poll
+// cooperatively (sim tasks must never block on channels).
+//
+// Ownership rule: slots are pooled, and a slot may be Released only by
+// the caller that received its result. A caller that abandons a request
+// (HTTP context cancelled or server stopping while the op is queued) must
+// NOT Release: the worker still holds the slot and will complete it into
+// the buffered channel, so a recycled slot would hand a stale result to
+// its next owner. An abandoned, or simply never released, slot is
+// garbage-collected — a pool miss, nothing worse.
+type PendingOf[T any] struct {
+	// Kind is the wire operation kind, for per-kind telemetry ("" when the
+	// submitter has none).
+	Kind string
+	// Tag is caller correlation data, carried through untouched (the
+	// fuzzer's targets stamp submit-order sequence numbers here).
 	Tag any
+	// Shard and Replica are the routing outcome, recorded by Submit.
+	Shard, Replica int
 
 	start time.Time
-	done  chan Result
+	done  chan T
+	home  *sync.Pool
 }
 
-// NewPending prepares an in-flight slot for one operation.
-func NewPending() *Pending {
-	return &Pending{start: time.Now(), done: make(chan Result, 1)}
+// NewPendingOf prepares an in-flight slot for one operation, recycled
+// through pool — one pool per delivered type, owned by the package that
+// instantiates it — so the steady-state submit path allocates nothing.
+func NewPendingOf[T any](pool *sync.Pool, kind string) *PendingOf[T] {
+	pd, _ := pool.Get().(*PendingOf[T])
+	if pd == nil {
+		pd = &PendingOf[T]{done: make(chan T, 1), home: pool}
+	}
+	pd.Kind, pd.Tag, pd.start = kind, nil, time.Now()
+	return pd
 }
 
-// Done exposes the completion channel; exactly one Result arrives.
-func (pd *Pending) Done() <-chan Result { return pd.done }
+// Release returns the slot to its pool, once, under the ownership rule
+// above; the caller must not touch pd after.
+func (pd *PendingOf[T]) Release() {
+	pd.Tag = nil
+	pd.home.Put(pd)
+}
+
+// Done exposes the completion channel; exactly one result arrives.
+func (pd *PendingOf[T]) Done() <-chan T { return pd.done }
 
 // Poll returns the result without blocking; ok is false while the
 // operation is in flight.
-func (pd *Pending) Poll() (Result, bool) {
+func (pd *PendingOf[T]) Poll() (res T, ok bool) {
 	select {
-	case r := <-pd.done:
-		return r, true
+	case res = <-pd.done:
+		return res, true
 	default:
-		return Result{}, false
+		return res, false
 	}
 }
 
-// Result is one completed keyed operation.
-type Result struct {
-	Resp Resp
-	// Latency is submit-to-completion wall time (meaningful on the live
-	// substrate; host time, not steps, on the sim kernel).
-	Latency time.Duration
-}
-
-// queued pairs a keyed op with its in-flight slot inside a
-// (shard, replica) lane. The lanes are the repo's single bounded MPSC
-// queue implementation (internal/mpsc), shared with the serve layer: sim
-// tasks poll it without blocking, and pop order is exactly linearized
-// push order on both substrates.
-type queued struct {
-	op Op
-	pd *Pending
+// queued pairs an op with its in-flight slot inside a (shard, replica)
+// lane. The lanes are the repo's single bounded MPSC queue implementation
+// (internal/mpsc): lock-free pushes from any number of submitters, pop
+// order exactly linearized push order on both substrates (the fuzzer's
+// FIFO oracle), and non-blocking polls so sim tasks never block outside
+// the kernel's own scheduling.
+type queued[O, T any] struct {
+	op O
+	pd *PendingOf[T]
 }
 
 // Stats is one shard's counter snapshot.
@@ -113,10 +141,10 @@ type Stats struct {
 }
 
 // mapShard is one shard: a full TBWF stack plus its queues and counters.
-type mapShard struct {
-	stack   *deploy.Stack[map[string]int64, []Op, []Resp]
+type mapShard[S, O, R, T any] struct {
+	stack   *deploy.Stack[S, []O, []R]
 	flag    string // the elector's canonical flag name
-	queues  []*mpsc.Queue[queued]
+	queues  []*mpsc.Queue[queued[O, T]]
 	bucket  *bucket
 	rr      atomic.Int64
 	served  telemetry.Counter
@@ -129,19 +157,26 @@ type mapShard struct {
 	hist []telemetry.Counter
 }
 
-// Map is a sharded keyspace over one substrate: S independent TBWF
-// stacks sharing the substrate's N processes. Create with New, then
-// Start to spawn the S×N worker tasks.
-type Map struct {
+// MapOf is the repo's one request path: S independent TBWF stacks of a
+// batch-typed object over one substrate's N processes, with a bounded
+// queue and a worker task per (shard, replica) — a process's operations
+// must all flow through its one client, from its own task (Figure 7).
+// Map is the string→int64 keyspace; the unkeyed single object of
+// internal/serve is the S=1 case. Create with NewOf, then Start to spawn
+// the S×N worker tasks.
+type MapOf[S, O, R, T any] struct {
 	sub      prim.Substrate
-	cfg      Config
-	shards   []*mapShard
+	cfg      ConfigOf[T]
+	deliver  func(R, time.Duration) T
+	shards   []*mapShard[S, O, R, T]
 	inflight atomic.Int64
 }
 
-// New deploys cfg.Shards stacks on the substrate. Workers are not
-// spawned yet — call Start (after telemetry hooks are in place).
-func New(sub prim.Substrate, cfg Config) (*Map, error) {
+// NewOf deploys cfg.Shards stacks of typ on the substrate; deliver turns
+// an op's typed response and latency into the T its submitter receives.
+// Workers are not spawned yet — call Start.
+func NewOf[S, O, R, T any](sub prim.Substrate, typ qa.Type[S, []O, []R],
+	deliver func(R, time.Duration) T, cfg ConfigOf[T]) (*MapOf[S, O, R, T], error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -155,25 +190,25 @@ func New(sub prim.Substrate, cfg Config) (*Map, error) {
 	if len(electors) == 0 {
 		electors = []elector.Builder{elector.Atomic}
 	}
-	m := &Map{sub: sub, cfg: cfg, shards: make([]*mapShard, cfg.Shards)}
+	m := &MapOf[S, O, R, T]{sub: sub, cfg: cfg, deliver: deliver, shards: make([]*mapShard[S, O, R, T], cfg.Shards)}
 	for s := range m.shards {
 		builder := electors[s%len(electors)]
-		stack, err := deploy.Build[map[string]int64, []Op, []Resp](sub, BatchKV{}, deploy.BuildConfig{
+		stack, err := deploy.Build[S, []O, []R](sub, typ, deploy.BuildConfig{
 			Elector:         builder,
 			RegisterOptions: cfg.RegisterOptions,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard: build shard %d: %w", s, err)
 		}
-		sh := &mapShard{
+		sh := &mapShard[S, O, R, T]{
 			stack:  stack,
 			flag:   builder.FlagName(),
-			queues: make([]*mpsc.Queue[queued], sub.N()),
+			queues: make([]*mpsc.Queue[queued[O, T]], sub.N()),
 			bucket: newBucket(cfg.Admission),
 			hist:   make([]telemetry.Counter, cfg.MaxBatch+1),
 		}
 		for p := range sh.queues {
-			sh.queues[p] = mpsc.New[queued](cfg.QueueDepth)
+			sh.queues[p] = mpsc.New[queued[O, T]](cfg.QueueDepth)
 		}
 		m.shards[s] = sh
 	}
@@ -191,23 +226,23 @@ func New(sub prim.Substrate, cfg Config) (*Map, error) {
 // the real-time runtime. A worker with no operation is not a candidate
 // and owes Ω∆ nothing; its timeliness matters, and is observed, only from
 // the moment Invoke sets candidate_p.
-func (m *Map) Start() {
+func (m *MapOf[S, O, R, T]) Start() {
 	for s, sh := range m.shards {
 		for p := 0; p < m.sub.N(); p++ {
 			s, sh, p := s, sh, p
 			q := sh.queues[p]
 			client := sh.stack.Clients[p]
 			m.sub.Spawn(p, fmt.Sprintf("shard[%d]-worker[%d]", s, p), func(pp prim.Proc) {
-				buf := make([]queued, m.cfg.MaxBatch)
+				buf := make([]queued[O, T], m.cfg.MaxBatch)
 				for {
 					n := q.PopBatch(buf)
 					if n == 0 {
-						q.Await(pp)
+						q.Await(pp) // unwinds via prim.ExitTask on stop/crash/budget
 						continue
 					}
 					items := buf[:n]
 					// The QA log retains the batch slice; give it its own.
-					ops := make([]Op, len(items))
+					ops := make([]O, len(items))
 					for i := range items {
 						ops[i] = items[i].op
 					}
@@ -216,7 +251,7 @@ func (m *Map) Start() {
 						panic(fmt.Sprintf("shard: %d responses for a %d-op batch", len(resps), len(items)))
 					}
 					if m.cfg.AblateBatchFence && len(items) > 1 {
-						resps = append(append([]Resp(nil), resps[1:]...), resps[0])
+						resps = append(append([]R(nil), resps[1:]...), resps[0])
 					}
 					size := len(items)
 					sh.batches.Inc()
@@ -228,8 +263,8 @@ func (m *Map) Start() {
 						if m.cfg.Hooks.Served != nil {
 							m.cfg.Hooks.Served(s, p, it.pd, size, lat)
 						}
-						it.pd.done <- Result{Resp: resps[i], Latency: lat}
-						items[i] = queued{} // don't retain the Pending
+						it.pd.done <- m.deliver(resps[i], lat)
+						items[i] = queued[O, T]{} // don't retain the Pending
 					}
 				}
 			})
@@ -238,31 +273,30 @@ func (m *Map) Start() {
 }
 
 // ShardFor returns the shard a key routes to.
-func (m *Map) ShardFor(key string) int { return KeyShard(key, len(m.shards)) }
+func (m *MapOf[S, O, R, T]) ShardFor(key string) int { return KeyShard(key, len(m.shards)) }
 
-// Submit routes op (keyed by key; op.Key is overwritten) through
-// admission control onto a replica's queue. replica < 0 round-robins
-// within the shard. It returns the target shard and replica along with
-// the admission verdict: nil, or one of ErrRateLimited (429),
-// ErrQueueFull / ErrInFlight (503). On success the result arrives on
-// pd.Done.
+// Submit routes op, by key, through admission control onto a replica's
+// queue. replica < 0 round-robins within the shard. It returns the
+// target shard and replica — also recorded on pd — along with the
+// admission verdict: nil, or one of ErrRateLimited (429), ErrQueueFull /
+// ErrInFlight (503). On success the result arrives on pd.Done.
 //
 // Admission order: the shard's token bucket first (rate policy, cheap,
 // "client should slow down"), then the global in-flight cap, then the
 // bounded queue (both "service is overloaded").
-func (m *Map) Submit(key string, replica int, op Op, pd *Pending) (int, int, error) {
+func (m *MapOf[S, O, R, T]) Submit(key string, replica int, op O, pd *PendingOf[T]) (int, int, error) {
 	s := m.ShardFor(key)
 	sh := m.shards[s]
-	op.Key = key
 	if replica < 0 {
 		replica = int(sh.rr.Add(1)-1) % m.sub.N()
 	} else if replica >= m.sub.N() {
 		return s, replica, fmt.Errorf("shard: replica %d out of range [0,%d)", replica, m.sub.N())
 	}
+	pd.Shard, pd.Replica = s, replica
 	shed := func(c *telemetry.Counter, err error) (int, int, error) {
 		c.Inc()
 		if m.cfg.Hooks.Shed != nil {
-			m.cfg.Hooks.Shed(s, err)
+			m.cfg.Hooks.Shed(s, replica, err)
 		}
 		return s, replica, err
 	}
@@ -275,7 +309,7 @@ func (m *Map) Submit(key string, replica int, op Op, pd *Pending) (int, int, err
 	} else if max <= 0 {
 		m.inflight.Add(1)
 	}
-	if !sh.queues[replica].Push(queued{op: op, pd: pd}) {
+	if !sh.queues[replica].Push(queued[O, T]{op: op, pd: pd}) {
 		m.inflight.Add(-1)
 		return shed(&sh.shedQF, ErrQueueFull)
 	}
@@ -284,19 +318,16 @@ func (m *Map) Submit(key string, replica int, op Op, pd *Pending) (int, int, err
 }
 
 // Shards returns the shard count.
-func (m *Map) Shards() int { return len(m.shards) }
+func (m *MapOf[S, O, R, T]) Shards() int { return len(m.shards) }
 
 // N returns the substrate's process (replica) count.
-func (m *Map) N() int { return m.sub.N() }
-
-// MaxBatch returns the effective batch bound.
-func (m *Map) MaxBatch() int { return m.cfg.MaxBatch }
+func (m *MapOf[S, O, R, T]) N() int { return m.sub.N() }
 
 // InFlight returns the operations admitted but not yet completed.
-func (m *Map) InFlight() int64 { return m.inflight.Load() }
+func (m *MapOf[S, O, R, T]) InFlight() int64 { return m.inflight.Load() }
 
 // Stats snapshots shard s's counters.
-func (m *Map) Stats(s int) Stats {
+func (m *MapOf[S, O, R, T]) Stats(s int) Stats {
 	sh := m.shards[s]
 	return Stats{
 		Accepted:      sh.accept.Load(),
@@ -310,7 +341,7 @@ func (m *Map) Stats(s int) Stats {
 
 // BatchHist returns shard s's batch-size histogram: index i counts
 // completed batches of size i (index 0 is always 0).
-func (m *Map) BatchHist(s int) []int64 {
+func (m *MapOf[S, O, R, T]) BatchHist(s int) []int64 {
 	sh := m.shards[s]
 	out := make([]int64, len(sh.hist))
 	for i := range sh.hist {
@@ -322,7 +353,7 @@ func (m *Map) BatchHist(s int) []int64 {
 // MeanBatch returns shard s's mean completed-batch size (0 before any
 // batch completes). Above 1 means the amortization is real: multiple
 // ops rode one QA round.
-func (m *Map) MeanBatch(s int) float64 {
+func (m *MapOf[S, O, R, T]) MeanBatch(s int) float64 {
 	sh := m.shards[s]
 	b := sh.batches.Load()
 	if b == 0 {
@@ -332,22 +363,29 @@ func (m *Map) MeanBatch(s int) float64 {
 }
 
 // QueueDepth returns the current occupancy of shard s's replica-p queue.
-func (m *Map) QueueDepth(s, p int) int { return m.shards[s].queues[p].Len() }
+func (m *MapOf[S, O, R, T]) QueueDepth(s, p int) int { return m.shards[s].queues[p].Len() }
 
 // Leaders returns shard s's per-process Ω∆ leader outputs.
-func (m *Map) Leaders(s int) []int { return m.shards[s].stack.Leaders() }
+func (m *MapOf[S, O, R, T]) Leaders(s int) []int { return m.shards[s].stack.Leaders() }
 
 // ElectorName returns shard s's Ω∆ implementation name; ElectorFlag its
 // canonical registry flag name.
-func (m *Map) ElectorName(s int) string { return m.shards[s].stack.Elector.Name() }
-func (m *Map) ElectorFlag(s int) string { return m.shards[s].flag }
+func (m *MapOf[S, O, R, T]) ElectorName(s int) string { return m.shards[s].stack.Elector.Name() }
+func (m *MapOf[S, O, R, T]) ElectorFlag(s int) string { return m.shards[s].flag }
 
 // Slots returns shard s's allocated QA log slots.
-func (m *Map) Slots(s int) int64 { return m.shards[s].stack.Object.Slots() }
+func (m *MapOf[S, O, R, T]) Slots(s int) int64 { return m.shards[s].stack.Object.Slots() }
 
-// Completed returns shard s's per-replica completed batch-invocation
-// counts (the TBWF clients' counters; each completion is one batch).
-func (m *Map) Completed(s int) []int64 { return m.shards[s].stack.CompletedOps() }
+// ClientStats and QAStats return the counters of shard s's replica-p TBWF
+// client (each completion is one batch) and query-abortable handle.
+func (m *MapOf[S, O, R, T]) ClientStats(s, p int) core.Stats {
+	return m.shards[s].stack.Clients[p].Stats()
+}
+func (m *MapOf[S, O, R, T]) QAStats(s, p int) qa.HandleStats {
+	return m.shards[s].stack.Object.Handle(p).Stats()
+}
 
 // FaultMatrix returns shard s's elector fault matrix, if it keeps one.
-func (m *Map) FaultMatrix(s int) ([][]int64, bool) { return m.shards[s].stack.FaultMatrix() }
+func (m *MapOf[S, O, R, T]) FaultMatrix(s int) ([][]int64, bool) {
+	return m.shards[s].stack.FaultMatrix()
+}
