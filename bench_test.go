@@ -19,7 +19,6 @@ import (
 	"tbwf/internal/monitor"
 	"tbwf/internal/objtype"
 	"tbwf/internal/omega"
-	"tbwf/internal/omegaab"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
 	"tbwf/internal/register"
@@ -158,13 +157,13 @@ func BenchmarkE3OmegaAtomic(b *testing.B) {
 			var stab int64
 			for i := 0; i < b.N; i++ {
 				k := sim.New(n, sim.WithScheduleTrace(false))
-				sys, err := omega.BuildRegisters(k)
+				el, err := elector.Atomic.Build(deploy.Sim(k), elector.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				obs := omega.NewObserver(sys.Instances)
+				obs := omega.NewObserver(el.Instances())
 				k.AfterStep(obs.Sample)
-				for _, inst := range sys.Instances {
+				for _, inst := range el.Instances() {
 					inst.Candidate.Set(true)
 				}
 				if _, err := k.Run(300_000); err != nil {
@@ -186,13 +185,13 @@ func BenchmarkE4OmegaAbortable(b *testing.B) {
 			var stab int64
 			for i := 0; i < b.N; i++ {
 				k := sim.New(n, sim.WithScheduleTrace(false))
-				sys, err := omegaab.Build(deploy.Sim(k))
+				el, err := elector.Abortable.Build(deploy.Sim(k), elector.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				obs := omega.NewObserver(sys.Instances)
+				obs := omega.NewObserver(el.Instances())
 				k.AfterStep(obs.Sample)
-				for _, inst := range sys.Instances {
+				for _, inst := range el.Instances() {
 					inst.Candidate.Set(true)
 				}
 				if _, err := k.Run(400_000); err != nil {
@@ -236,13 +235,13 @@ func BenchmarkE6WriteEfficiency(b *testing.B) {
 	var nonLeader int64
 	for i := 0; i < b.N; i++ {
 		k := sim.New(n, sim.WithWriteLog(true), sim.WithScheduleTrace(false))
-		sys, err := omega.BuildRegisters(k)
+		el, err := elector.Atomic.Build(deploy.Sim(k), elector.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		obs := omega.NewObserver(sys.Instances)
+		obs := omega.NewObserver(el.Instances())
 		k.AfterStep(obs.Sample)
-		for _, inst := range sys.Instances {
+		for _, inst := range el.Instances() {
 			inst.Candidate.Set(true)
 		}
 		if _, err := k.Run(steps); err != nil {
@@ -398,32 +397,13 @@ func BenchmarkE10AbortableComm(b *testing.B) {
 	var deliveredAt int64
 	for i := 0; i < b.N; i++ {
 		k := sim.New(2, sim.WithScheduleTrace(false))
-		out := register.NewAbortableSWSR(k, "Msg", 0, 0, 1)
-		m0, err := omegaab.NewMessenger(0, 2, []prim.AbortableRegister[int]{nil, out}, make([]prim.AbortableRegister[int], 2), 0)
+		msg, err := exp.MessengerRig(k, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m1, err := omegaab.NewMessenger(1, 2, make([]prim.AbortableRegister[int], 2), []prim.AbortableRegister[int]{out, nil}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		k.Spawn(0, "writer", func(p prim.Proc) {
-			msg := []int{0, 99}
-			for {
-				m0.WriteMsgs(msg)
-				p.Step()
-			}
-		})
-		got := 0
-		k.Spawn(1, "reader", func(p prim.Proc) {
-			for {
-				got = m1.ReadMsgs()[0]
-				p.Step()
-			}
-		})
 		at := int64(-1)
 		k.AfterStep(func(step int64) {
-			if at < 0 && got == 99 {
+			if at < 0 && msg.Got == exp.MessengerValue {
 				at = step
 			}
 		})

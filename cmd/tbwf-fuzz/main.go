@@ -72,13 +72,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *list {
-		for _, t := range explore.Targets() {
+		targets := explore.Targets()
+		nameW, oraclesW := 0, 0
+		for _, t := range targets {
+			nameW = max(nameW, len(t.Name))
+			oraclesW = max(oraclesW, len(strings.Join(t.Oracles, ",")))
+		}
+		for _, t := range targets {
 			mark := " "
 			if t.Ablated {
 				mark = "!"
 			}
-			fmt.Fprintf(out, "%s %-26s n=%d steps=%-8d oracles=%-38s %s\n",
-				mark, t.Name, t.N, t.Steps, strings.Join(t.Oracles, ","), t.Desc)
+			fmt.Fprintf(out, "%s %-*s n=%d steps=%-8d oracles=%-*s %s\n",
+				mark, nameW, t.Name, t.N, t.Steps, oraclesW, strings.Join(t.Oracles, ","), t.Desc)
 		}
 		fmt.Fprintln(out, "\ntargets marked ! are ablated: deliberately broken, expected to fail")
 		return nil

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tbwf/internal/explore"
 )
 
 // TestFuzzThenReplayRoundTrip drives the CLI end to end: fuzz the
@@ -75,6 +77,19 @@ func TestListAndErrors(t *testing.T) {
 			t.Fatalf("-list output missing %q:\n%s", want, out.String())
 		}
 	}
+	// The columns are sized from the registry, so the longest name and the
+	// longest oracle list do not shear them: every target's line has its n=
+	// at one column and its description at another.
+	lines := strings.Split(out.String(), "\n")
+	nCol, descCol := strings.Index(lines[0], " n="), strings.Index(lines[0], explore.Targets()[0].Desc)
+	for i, tgt := range explore.Targets() {
+		if !strings.Contains(lines[i], " "+tgt.Name+" ") {
+			t.Fatalf("-list line %d is not %s's: %q", i, tgt.Name, lines[i])
+		}
+		if n, desc := strings.Index(lines[i], " n="), strings.Index(lines[i], tgt.Desc); n != nCol || desc != descCol {
+			t.Fatalf("-list columns shear at %q: n= at %d (want %d), description at %d (want %d)", lines[i], n, nCol, desc, descCol)
+		}
+	}
 
 	if err := run([]string{"-target", "no-such-target"}, &out); err == nil {
 		t.Fatal("unknown target accepted")
@@ -93,7 +108,7 @@ func TestReplayRejectsWrongVersionUpFront(t *testing.T) {
 	}
 	var out strings.Builder
 	err := run([]string{"-replay", path}, &out)
-	if err == nil || !strings.Contains(err.Error(), "expected 2, found 1") {
+	if err == nil || !strings.Contains(err.Error(), "expected 3, found 1") {
 		t.Fatalf("stale artifact: got %v, want expected-vs-found version error", err)
 	}
 }

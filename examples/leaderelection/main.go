@@ -15,27 +15,33 @@ import (
 	"fmt"
 	"log"
 
+	"tbwf/internal/deploy"
+	"tbwf/internal/elector"
 	"tbwf/internal/omega"
+	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
 
 func main() {
 	const n = 4
 	k := sim.New(n)
-	sys, err := omega.BuildRegisters(k)
+	el, err := elector.Atomic.Build(deploy.Sim(k), elector.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	obs := omega.NewObserver(sys.Instances)
+	insts := el.Instances()
+	obs := omega.NewObserver(insts)
 	k.AfterStep(obs.Sample)
 
-	setAll(sys, true)
+	for _, inst := range insts {
+		inst.Candidate.Set(true)
+	}
 	note(0, "everyone becomes a candidate")
 
 	// The script: what happens when.
 	events := map[int64]func(){
 		150_000: func() {
-			sys.Instances[0].Candidate.Set(false)
+			insts[0].Candidate.Set(false)
 			note(150_000, "process 0 (the likely leader) withdraws")
 		},
 		300_000: func() { note(300_000, "process 3 starts flickering: joins/leaves every 25k steps") },
@@ -50,7 +56,7 @@ func main() {
 			}
 		}
 		if flickering && step%25_000 == 0 {
-			inst := sys.Instances[3]
+			inst := insts[3]
 			inst.Candidate.Set(!inst.Candidate.Get())
 		}
 		if step%100_000 == 0 && step > 0 {
@@ -64,26 +70,23 @@ func main() {
 	k.Shutdown()
 
 	fmt.Printf("\nfinal leaders: %v  (-1 means \"?\")\n", obs.Leaders())
-	fmt.Printf("counter registers: %v  (higher = punished more: withdrawals and suspicions)\n", counters(sys))
+	fmt.Printf("counter registers: %v  (higher = punished more: withdrawals and suspicions)\n", counters(el))
 	fmt.Println("\nexpected reading: after the dust settles, the only permanent, timely,")
 	fmt.Println("non-crashed candidate (process 2) is everyone's stable leader, while the")
 	fmt.Println("flickering process 3 oscillates between ? and the leader, as the spec allows.")
-}
-
-func setAll(sys *omega.System, v bool) {
-	for _, inst := range sys.Instances {
-		inst.Candidate.Set(v)
-	}
 }
 
 func note(step int64, msg string) {
 	fmt.Printf("step %7d: %s\n", step, msg)
 }
 
-func counters(sys *omega.System) []int64 {
-	out := make([]int64, sys.N)
+// counters peeks at Figure 3's shared CounterRegister values — state of
+// the atomic-registers construction, reached through elector.Deployment.
+func counters(el elector.Elector) []int64 {
+	dep, _ := elector.Deployment(el)
+	out := make([]int64, dep.N)
 	for q := range out {
-		out[q] = sys.CounterReg[q].Peek()
+		out[q] = dep.CounterReg[q].(*register.Atomic[int64]).Peek()
 	}
 	return out
 }

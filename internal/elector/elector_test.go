@@ -108,6 +108,7 @@ func TestAblatedVariantsAreNamedAndUnregistered(t *testing.T) {
 		builder  Builder
 		wantName string
 	}{
+		{NewAtomic(AtomicOptions{NoSelfPunish: true}), "atomic-registers-noselfpunish"},
 		{NewNerio(NerioOptions{NoDepose: true}), "nerio-lease-nodepose"},
 		{NewReputation(ReputationOptions{NoPenalty: true}), "reputation-penalty-nopenalty"},
 	}

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 
+	"tbwf/internal/deploy"
+	"tbwf/internal/elector"
 	"tbwf/internal/omega"
 	"tbwf/internal/omegaab"
 	"tbwf/internal/prim"
@@ -13,6 +15,67 @@ import (
 // This file holds the ablation experiments of DESIGN.md §7: each removes
 // one design element the paper's algorithms rely on and demonstrates the
 // failure the element prevents.
+
+// SlowSender makes process 0 (the A1 heartbeat sender) available only in
+// 1-step bursts with geometrically growing gaps — correct but so slow that
+// every register write spans a whole gap.
+func SlowSender() map[int]sim.Availability {
+	return map[int]sim.Availability{0: sim.GrowingGaps(1, 2_000, 1.3)}
+}
+
+// HeartbeatProbe is what HeartbeatRig samples after every step past its
+// from mark: how often the receiver had a view of the sender at all, and
+// how often that view was "active".
+type HeartbeatProbe struct{ Samples, Active int64 }
+
+// HeartbeatRig wires the A1 scenario on a two-process kernel (whose
+// schedule the caller restricts with SlowSender): process 0 sends Figure
+// 5 heartbeats, process 1 receives them, and the probe samples the
+// receiver's view of the sender over the steps after from. With single
+// set, both sides run the naive protocol — one register instead of two.
+// Shared by A1DualHeartbeat and the heartbeat-* fuzz targets.
+func HeartbeatRig(k *sim.Kernel, single bool, from int64) (*HeartbeatProbe, error) {
+	r1 := register.NewAbortableSWSR(k, "Hb1", int64(0), 0, 1)
+	r2 := register.NewAbortableSWSR(k, "Hb2", int64(0), 0, 1)
+	hb, err := omegaab.NewHeartbeat(1, 2,
+		make([]prim.AbortableRegister[int64], 2), make([]prim.AbortableRegister[int64], 2),
+		[]prim.AbortableRegister[int64]{r1, nil}, []prim.AbortableRegister[int64]{r2, nil})
+	if err != nil {
+		return nil, err
+	}
+	if single {
+		hb.AblateSingleRegister()
+	}
+	// Sender: the naive single-register protocol writes one register;
+	// the paper's protocol alternates both.
+	k.Spawn(0, "sender", func(p prim.Proc) {
+		var c int64
+		for {
+			c++
+			r1.Write(c)
+			if !single {
+				r2.Write(c)
+			}
+		}
+	})
+	var active []bool
+	k.Spawn(1, "receiver", func(p prim.Proc) {
+		for {
+			active = hb.Receive()
+			p.Step()
+		}
+	})
+	probe := &HeartbeatProbe{}
+	k.AfterStep(func(step int64) {
+		if step > from && active != nil {
+			probe.Samples++
+			if active[0] {
+				probe.Active++
+			}
+		}
+	})
+	return probe, nil
+}
 
 // A1Config parameterizes the dual-heartbeat ablation.
 type A1Config struct {
@@ -46,57 +109,17 @@ func A1DualHeartbeat(cfg A1Config) (*Table, error) {
 	for _, variant := range []string{"dual (paper)", "single (ablated)"} {
 		variant := variant
 		scs = append(scs, Scenario{Name: variant, Run: func(res *Result) error {
-			k := sim.New(2, sim.WithSchedule(sim.Restrict(sim.RoundRobin(), map[int]sim.Availability{
-				0: sim.GrowingGaps(1, 2_000, 1.3),
-			})))
-			r1 := register.NewAbortableSWSR(k, "Hb1", int64(0), 0, 1)
-			r2 := register.NewAbortableSWSR(k, "Hb2", int64(0), 0, 1)
-			in1 := []prim.AbortableRegister[int64]{r1, nil}
-			in2 := []prim.AbortableRegister[int64]{r2, nil}
-			hb, err := omegaab.NewHeartbeat(1, 2,
-				make([]prim.AbortableRegister[int64], 2), make([]prim.AbortableRegister[int64], 2),
-				in1, in2)
+			k := sim.New(2, sim.WithSchedule(sim.Restrict(sim.RoundRobin(), SlowSender())))
+			probe, err := HeartbeatRig(k, variant != "dual (paper)", cfg.Steps/2)
 			if err != nil {
 				return err
 			}
-			single := variant != "dual (paper)"
-			if single {
-				hb.AblateSingleRegister()
-			}
-			// Sender: the naive single-register protocol writes one register;
-			// the paper's protocol alternates both.
-			k.Spawn(0, "sender", func(p prim.Proc) {
-				var c int64
-				for {
-					c++
-					r1.Write(c)
-					if !single {
-						r2.Write(c)
-					}
-				}
-			})
-			var active []bool
-			k.Spawn(1, "receiver", func(p prim.Proc) {
-				for {
-					active = hb.Receive()
-					p.Step()
-				}
-			})
-			var samples, activeSamples int64
-			k.AfterStep(func(step int64) {
-				if step > cfg.Steps/2 && active != nil {
-					samples++
-					if active[0] {
-						activeSamples++
-					}
-				}
-			})
 			if _, err := k.Run(cfg.Steps); err != nil {
 				return err
 			}
 			k.Shutdown()
 			res.Record(k)
-			frac := float64(activeSamples) / float64(max(samples, 1))
+			frac := float64(probe.Active) / float64(max(probe.Samples, 1))
 			verdict := "suspects the slow sender"
 			if frac > 0.5 {
 				verdict = "fooled: believes the sender timely"
@@ -109,6 +132,35 @@ func A1DualHeartbeat(cfg A1Config) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// ChurnRig wires the A2 scenario: every process a candidate, process 0
+// toggling its candidacy every period steps forever, and an observer on
+// the permanent candidates (processes 1..n-1) only. Shared by
+// A2SelfPunishment and the *-churn fuzz targets.
+func ChurnRig(k *sim.Kernel, builder elector.Builder, period int64) (elector.Elector, *omega.Observer, error) {
+	el, err := builder.Build(deploy.Sim(k), elector.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	insts := el.Instances()
+	obs := omega.NewObserver(insts[1:])
+	k.AfterStep(obs.Sample)
+	for _, inst := range insts {
+		inst.Candidate.Set(true)
+	}
+	toggleCandidacy(k, insts[0], period)
+	return el, obs, nil
+}
+
+// toggleCandidacy makes inst join and leave the competition every period
+// steps, forever.
+func toggleCandidacy(k *sim.Kernel, inst *omega.Instance, period int64) {
+	k.AfterStep(func(step int64) {
+		if step%period == 0 {
+			inst.Candidate.Set(!inst.Candidate.Get())
+		}
+	})
 }
 
 // A2Config parameterizes the self-punishment ablation.
@@ -148,23 +200,10 @@ func A2SelfPunishment(cfg A2Config) (*Table, error) {
 		}
 		scs = append(scs, Scenario{Name: name, Run: func(res *Result) error {
 			k := sim.New(3)
-			dep, err := omega.BuildWith(3, k, func(name string, init int64) prim.Register[int64] {
-				return register.NewAtomic(k, name, init)
-			}, omega.BuildOptions{AblateSelfPunishment: ablate})
+			_, obs, err := ChurnRig(k, elector.NewAtomic(elector.AtomicOptions{NoSelfPunish: ablate}), 20_000)
 			if err != nil {
 				return err
 			}
-			obs := omega.NewObserver(dep.Instances[1:]) // permanent candidates only
-			k.AfterStep(obs.Sample)
-			for _, inst := range dep.Instances {
-				inst.Candidate.Set(true)
-			}
-			k.AfterStep(func(step int64) {
-				if step%20_000 == 0 {
-					inst := dep.Instances[0]
-					inst.Candidate.Set(!inst.Candidate.Get())
-				}
-			})
 			if _, err := k.Run(cfg.Steps / 2); err != nil {
 				return err
 			}
@@ -187,6 +226,52 @@ func A2SelfPunishment(cfg A2Config) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// MessengerValue is the final value the A3 writer ships.
+const MessengerValue = 99
+
+// MessengerRun is the A3 scenario's observable state: the value the
+// reader last saw and the one register it travels through.
+type MessengerRun struct {
+	Got int
+	Reg *register.Abortable[int]
+}
+
+// MessengerRig wires the A3 scenario on a two-process kernel: a Figure 4
+// writer (process 0) shipping MessengerValue to a reader (process 1)
+// through one abortable register; with ablate set the reader loses its
+// adaptive back-off. Shared by A3ReaderBackoff and the messenger-* fuzz
+// targets.
+func MessengerRig(k *sim.Kernel, ablate bool) (*MessengerRun, error) {
+	run := &MessengerRun{Reg: register.NewAbortableSWSR(k, "Msg[0,1]", 0, 0, 1)}
+	w, err := omegaab.NewMessenger(0, 2,
+		[]prim.AbortableRegister[int]{nil, run.Reg}, make([]prim.AbortableRegister[int], 2), 0)
+	if err != nil {
+		return nil, err
+	}
+	r, err := omegaab.NewMessenger(1, 2,
+		make([]prim.AbortableRegister[int], 2), []prim.AbortableRegister[int]{run.Reg, nil}, 0)
+	if err != nil {
+		return nil, err
+	}
+	if ablate {
+		r.AblateBackoff()
+	}
+	k.Spawn(0, "writer", func(p prim.Proc) {
+		msg := []int{0, MessengerValue}
+		for {
+			w.WriteMsgs(msg)
+			p.Step()
+		}
+	})
+	k.Spawn(1, "reader", func(p prim.Proc) {
+		for {
+			run.Got = r.ReadMsgs()[0]
+			p.Step()
+		}
+	})
+	return run, nil
 }
 
 // A3Config parameterizes the reader back-off ablation.
@@ -221,34 +306,10 @@ func A3ReaderBackoff(cfg A3Config) (*Table, error) {
 		ablate := ablate
 		scs = append(scs, Scenario{Name: variantName(ablate), Run: func(res *Result) error {
 			k := sim.New(2, sim.WithSchedule(sim.Pattern(0, 1)))
-			reg := register.NewAbortableSWSR(k, "Msg[0,1]", 0, 0, 1)
-			w, err := omegaab.NewMessenger(0, 2,
-				[]prim.AbortableRegister[int]{nil, reg}, make([]prim.AbortableRegister[int], 2), 0)
+			msg, err := MessengerRig(k, ablate)
 			if err != nil {
 				return err
 			}
-			r, err := omegaab.NewMessenger(1, 2,
-				make([]prim.AbortableRegister[int], 2), []prim.AbortableRegister[int]{reg, nil}, 0)
-			if err != nil {
-				return err
-			}
-			if ablate {
-				r.AblateBackoff()
-			}
-			k.Spawn(0, "writer", func(p prim.Proc) {
-				msg := []int{0, 99}
-				for {
-					w.WriteMsgs(msg)
-					p.Step()
-				}
-			})
-			got := 0
-			k.Spawn(1, "reader", func(p prim.Proc) {
-				for {
-					got = r.ReadMsgs()[0]
-					p.Step()
-				}
-			})
 			if _, err := k.Run(cfg.Steps); err != nil {
 				return err
 			}
@@ -256,11 +317,11 @@ func A3ReaderBackoff(cfg A3Config) (*Table, error) {
 			res.Record(k)
 			outcome := "not delivered"
 			verdict := "starves"
-			if got == 99 {
+			if msg.Got == MessengerValue {
 				outcome = "delivered"
 				verdict = "back-off breaks the phase lock"
 			}
-			res.AddRow(variantName(ablate), outcome, reg.Stats().ReadAborts, verdict)
+			res.AddRow(variantName(ablate), outcome, msg.Reg.Stats().ReadAborts, verdict)
 			return nil
 		}})
 	}

@@ -65,12 +65,7 @@ func bakeoffScenarios() []bakeoffScenario {
 			name:      "repeated-candidate-churn",
 			candidate: func(p int) bool { return true },
 			drive: func(k *sim.Kernel, instances []*omega.Instance) {
-				k.AfterStep(func(step int64) {
-					if step%20_000 == 0 {
-						inst := instances[0]
-						inst.Candidate.Set(!inst.Candidate.Get())
-					}
-				})
+				toggleCandidacy(k, instances[0], 20_000)
 			},
 			members: tail,
 			accept:  notZero,

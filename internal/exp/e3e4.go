@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"tbwf/internal/deploy"
+	"tbwf/internal/elector"
 	"tbwf/internal/omega"
-	"tbwf/internal/omegaab"
 	"tbwf/internal/sim"
 )
 
@@ -52,12 +52,7 @@ func omegaScenarios() []omegaScenario {
 				// Process 0 joins and leaves the competition forever; the
 				// self-punishment rule must keep it from holding
 				// leadership.
-				k.AfterStep(func(step int64) {
-					if step%20_000 == 0 {
-						inst := instances[0]
-						inst.Candidate.Set(!inst.Candidate.Get())
-					}
-				})
+				toggleCandidacy(k, instances[0], 20_000)
 			},
 			expectLeader: func(n int) []int { return ids(1, n) },
 		},
@@ -135,11 +130,11 @@ func E3OmegaAtomic(cfg E3Config) (*Table, error) {
 			n, sc := n, sc
 			scs = append(scs, Scenario{Name: fmt.Sprintf("n=%d/%s", n, sc.name), Run: func(res *Result) error {
 				k := sim.New(n, sim.WithSchedule(sc.sched(n)))
-				sys, err := omega.BuildRegisters(k)
+				el, err := elector.Atomic.Build(deploy.Sim(k), elector.Config{})
 				if err != nil {
 					return err
 				}
-				obs, err := runOmegaScenario(k, sys.Instances, sc, cfg.Steps)
+				obs, err := runOmegaScenario(k, el.Instances(), sc, cfg.Steps)
 				if err != nil {
 					return err
 				}
@@ -187,16 +182,17 @@ func E4OmegaAbortable(cfg E3Config) (*Table, error) {
 					steps *= 3 // untimely convergence needs the gaps to play out
 				}
 				k := sim.New(n, sim.WithSchedule(sc.sched(n)))
-				sys, err := omegaab.Build(deploy.Sim(k))
+				el, err := elector.Abortable.Build(deploy.Sim(k), elector.Config{})
 				if err != nil {
 					return err
 				}
-				obs, err := runOmegaScenario(k, sys.Instances, sc, steps)
+				obs, err := runOmegaScenario(k, el.Instances(), sc, steps)
 				if err != nil {
 					return err
 				}
 				res.Record(k)
 				leader, stab, churn, ok := summarizeOmega(obs, sc, n, steps)
+				sys, _ := elector.AbortableSystem(el)
 				ab := sys.Aborts()
 				rate := 0.0
 				if ops := ab.MsgOps + ab.HbOps; ops > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tbwf/internal/deploy"
+	"tbwf/internal/elector"
 	"tbwf/internal/omega"
 	"tbwf/internal/sim"
 )
@@ -39,13 +40,13 @@ func E6WriteEfficiency(cfg E6Config) (*Table, error) {
 	}
 	scs := []Scenario{{Name: "write-log", Run: func(res *Result) error {
 		k := sim.New(cfg.N, sim.WithWriteLog(true))
-		sys, err := omega.BuildRegisters(k)
+		el, err := elector.Atomic.Build(deploy.Sim(k), elector.Config{})
 		if err != nil {
 			return err
 		}
-		obs := omega.NewObserver(sys.Instances)
+		obs := omega.NewObserver(el.Instances())
 		k.AfterStep(obs.Sample)
-		for _, inst := range sys.Instances {
+		for _, inst := range el.Instances() {
 			inst.Candidate.Set(true)
 		}
 		if _, err := k.Run(cfg.Steps); err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"tbwf/internal/consensus"
 	"tbwf/internal/deploy"
-	"tbwf/internal/omegaab"
+	"tbwf/internal/elector"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
 	"tbwf/internal/register"
@@ -287,31 +287,10 @@ func E10AbortableComm(cfg E10Config) (*Table, error) {
 			if sc.avail != nil {
 				k = sim.New(2, sim.WithSchedule(sim.Restrict(sim.RoundRobin(), map[int]sim.Availability{0: sc.avail()})))
 			}
-			out := register.NewAbortableSWSR(k, "Msg[0,1]", 0, 0, 1)
-			m0, err := omegaab.NewMessenger(0, 2, []prim.AbortableRegister[int]{nil, out}, []prim.AbortableRegister[int]{nil, out}, 0)
+			msg, err := MessengerRig(k, false)
 			if err != nil {
 				return err
 			}
-			// Reader side needs its own messenger with in[0] = the register.
-			m1, err := omegaab.NewMessenger(1, 2, []prim.AbortableRegister[int]{out, nil}, []prim.AbortableRegister[int]{out, nil}, 0)
-			if err != nil {
-				return err
-			}
-			const finalValue = 77
-			k.Spawn(0, "writer", func(p prim.Proc) {
-				msgTo := []int{0, finalValue}
-				for {
-					m0.WriteMsgs(msgTo)
-					p.Step()
-				}
-			})
-			var got []int
-			k.Spawn(1, "reader", func(p prim.Proc) {
-				for {
-					got = m1.ReadMsgs()
-					p.Step()
-				}
-			})
 			if sc.crash > 0 {
 				k.CrashAt(0, sc.crash)
 			}
@@ -320,7 +299,7 @@ func E10AbortableComm(cfg E10Config) (*Table, error) {
 			}
 			k.Shutdown()
 			res.Record(k)
-			delivered := len(got) > 0 && got[0] == finalValue
+			delivered := msg.Got == MessengerValue
 			outcome := "not delivered"
 			if delivered {
 				outcome = "delivered"
@@ -355,14 +334,15 @@ func E10AbortableComm(cfg E10Config) (*Table, error) {
 			if sc.avail != nil {
 				k = sim.New(2, sim.WithSchedule(sim.Restrict(sim.RoundRobin(), map[int]sim.Availability{0: sc.avail()})))
 			}
-			sys, err := omegaab.Build(deploy.Sim(k))
+			el, err := elector.Abortable.Build(deploy.Sim(k), elector.Config{})
 			if err != nil {
 				return err
 			}
+			insts := el.Instances()
 			// Drive the full Ω∆ with both processes candidates: the heartbeat
 			// layer is what classifies the sender.
-			sys.Instances[0].Candidate.Set(true)
-			sys.Instances[1].Candidate.Set(true)
+			insts[0].Candidate.Set(true)
+			insts[1].Candidate.Set(true)
 			if sc.crash > 0 {
 				k.CrashAt(0, sc.crash)
 			}
@@ -372,7 +352,7 @@ func E10AbortableComm(cfg E10Config) (*Table, error) {
 			k.Shutdown()
 			res.Record(k)
 			// Receiver 1's verdict: does it believe 0 leads, or itself?
-			leader := sys.Instances[1].Leader.Get()
+			leader := insts[1].Leader.Get()
 			view := "suspected"
 			if leader == 0 {
 				view = "active"

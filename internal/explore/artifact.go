@@ -5,11 +5,17 @@ import (
 	"fmt"
 )
 
-// ArtifactVersion is bumped when the artifact encoding changes shape.
+// ArtifactVersion is bumped when a stored artifact would stop decoding or
+// stop replaying to what it recorded.
 // History: v1 — original record; v2 — plans may carry a DLS adversary
 // policy (Plan.DLS) and outcomes a state signature, so v1 readers would
-// silently replay a dls artifact under the wrong schedule.
-const ArtifactVersion = 2
+// silently replay a dls artifact under the wrong schedule; v3 — same shape,
+// but the Definition 5, churn-stability, lincheck and FIFO oracles were
+// each merged into one and adopted one wording, and Replay compares verdict
+// details byte for byte, so a v2 artifact of those targets would replay
+// with a matching trace hash and a spurious verdict mismatch. Re-record it
+// from its seed (its plan still replays if copied into a fresh run).
+const ArtifactVersion = 3
 
 // Artifact is the self-contained JSON record of one failing run: the plan
 // pinned to the executed schedule and policy tape, plus what the run
@@ -75,7 +81,7 @@ func (a *Artifact) Encode() ([]byte, error) {
 // DecodeArtifact parses an artifact and validates its version. The version
 // is probed *before* the full decode: a future-versioned artifact may have
 // fields this build's Plan cannot even unmarshal, and the error the user
-// needs is "expected version 2, found 3", not a decode panic deep in a
+// needs is "expected version 3, found 4", not a decode panic deep in a
 // field that did not exist yet.
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	var probe struct {

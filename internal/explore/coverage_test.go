@@ -180,8 +180,15 @@ func TestFuzzGuidedDeterministic(t *testing.T) {
 // expected-vs-found message before any full decode is attempted.
 func TestArtifactVersionProbe(t *testing.T) {
 	if _, err := DecodeArtifact([]byte(`{"version":1,"plan":{"target":"qa-counter"}}`)); err == nil ||
-		!strings.Contains(err.Error(), "expected 2, found 1") {
+		!strings.Contains(err.Error(), "expected 3, found 1") {
 		t.Fatalf("v1 artifact: got %v, want expected-vs-found version error", err)
+	}
+	// A v2 artifact decodes field for field, but its verdict wording predates
+	// the merged oracles: it must be refused up front, not replayed into a
+	// spurious verdict mismatch.
+	if _, err := DecodeArtifact([]byte(`{"version":2,"plan":{"target":"qa-counter","seed":1},"verdicts":[]}`)); err == nil ||
+		!strings.Contains(err.Error(), "expected 3, found 2") {
+		t.Fatalf("v2 artifact: got %v, want expected-vs-found version error", err)
 	}
 	if _, err := DecodeArtifact([]byte(`{"schema":"tbwf-bench/v1"}`)); err == nil ||
 		!strings.Contains(err.Error(), "no version field") {

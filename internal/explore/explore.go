@@ -109,7 +109,7 @@ type Plan struct {
 	DLS *adversary.DLS `json:"dls,omitempty"`
 }
 
-// Env is what a target's Build receives: the deterministic context of one
+// Env is what a target's Rig receives: the deterministic context of one
 // run.
 type Env struct {
 	// Seed is the plan's seed.
@@ -132,7 +132,7 @@ type Env struct {
 }
 
 // Rand is the target-local derivation stream: deterministic in the seed
-// and independent of the schedule and tape streams. Build-time draws only.
+// and independent of the schedule and tape streams. Rig-time draws only.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // RecordState registers a post-run state reporter whose string joins the
@@ -233,9 +233,7 @@ func Execute(p Plan) (*Outcome, error) {
 	base := newPlanSchedule(p, steps)
 	var sched sim.Schedule = base
 	if tgt.Avail != nil {
-		if m := tgt.Avail(env); len(m) > 0 {
-			sched = sim.Restrict(base, m)
-		}
+		sched = sim.Restrict(base, tgt.Avail())
 	}
 	k := sim.New(tgt.N, sim.WithSchedule(sched), sim.WithWriteLog(true))
 	if env.DLS != nil && env.DLS.Delta > 0 && !tgt.Fabric {
@@ -252,9 +250,12 @@ func Execute(p Plan) (*Outcome, error) {
 			k.CrashAt(c.Proc, c.Step)
 		}
 	}
-	check, err := tgt.Build(k, env)
+	judges, err := tgt.Rig(k, env)
 	if err != nil {
 		return nil, fmt.Errorf("explore: build target %s: %w", p.Target, err)
+	}
+	if len(judges) != len(tgt.Oracles) {
+		return nil, fmt.Errorf("explore: target %s names %d oracles but its rig returned %d judges", p.Target, len(tgt.Oracles), len(judges))
 	}
 	res, runErr := k.Run(steps)
 	k.Shutdown()
@@ -279,9 +280,12 @@ func Execute(p Plan) (*Outcome, error) {
 		if i := strings.IndexByte(detail, '\n'); i >= 0 {
 			detail = detail[:i]
 		}
-		out.Verdicts = []Verdict{{Oracle: "no-panic", OK: false, Detail: detail}}
+		out.Verdicts = []Verdict{{Oracle: noPanicOracle, OK: false, Detail: detail}}
 	} else {
-		out.Verdicts = check(k, res)
+		for i, judge := range judges {
+			j := judge(k, res)
+			out.Verdicts = append(out.Verdicts, Verdict{Oracle: tgt.Oracles[i], OK: j.OK, Detail: j.Detail})
+		}
 	}
 	out.TraceHash = k.TraceHash()
 	out.StateSig = stateSig(k, out, env.stateExtra())
@@ -299,7 +303,7 @@ func defaultDLS(seed int64) adversary.DLS {
 }
 
 // SafeExecute is Execute with panic isolation: a panic escaping a target's
-// Build or oracle code is returned as an *exp.PanicError instead of
+// Rig or judges is returned as an *exp.PanicError instead of
 // tearing down the caller (the fuzz campaign runs many plans on one worker
 // pool).
 func SafeExecute(p Plan) (out *Outcome, err error) {

@@ -306,7 +306,7 @@ func containsInt(s []int, v int) bool {
 }
 
 // TestNewPlanGenerator: plans are deterministic in (target, seed), respect
-// NoCrashes, and always crash CrashProc targets mid-run.
+// NoCrashes, and always crash MustCrash targets mid-run.
 func TestNewPlanGenerator(t *testing.T) {
 	mon, err := TargetByName("monitor-pair")
 	if err != nil {
@@ -318,10 +318,10 @@ func TestNewPlanGenerator(t *testing.T) {
 		if p.Strategy != q.Strategy || len(p.Crashes) != len(q.Crashes) || p.Seed != q.Seed {
 			t.Fatalf("seed %d: NewPlan is not deterministic: %+v vs %+v", seed, p, q)
 		}
-		// The forced CrashProc injection is always first, in the second
+		// The forced MustCrash injection is always first, in the second
 		// quarter of the run; a further random crash may follow it.
 		if len(p.Crashes) == 0 || p.Crashes[0].Proc != 1 {
-			t.Fatalf("seed %d: CrashProc target generated no forced crash: %v", seed, p.Crashes)
+			t.Fatalf("seed %d: MustCrash target generated no forced crash: %v", seed, p.Crashes)
 		}
 		if c := p.Crashes[0]; c.Step < p.Steps/4 || c.Step >= p.Steps/2 {
 			t.Fatalf("seed %d: forced crash at step %d outside [%d,%d)", seed, c.Step, p.Steps/4, p.Steps/2)
@@ -342,7 +342,7 @@ func TestNewPlanGenerator(t *testing.T) {
 func TestTargetRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, tgt := range Targets() {
-		if tgt.Name == "" || tgt.N < 1 || tgt.Steps < 1 || tgt.Build == nil {
+		if tgt.Name == "" || tgt.N < 1 || tgt.Steps < 1 || tgt.Rig == nil || len(tgt.Oracles) == 0 {
 			t.Fatalf("malformed target %+v", tgt)
 		}
 		if seen[tgt.Name] {

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"tbwf/internal/adversary"
 	"tbwf/internal/prim"
 	"tbwf/internal/register"
 	"tbwf/internal/sim"
@@ -47,106 +46,72 @@ const (
 	frontierTolerance = 3
 )
 
-// frontierTargets returns the frontier probe registry entries.
-func frontierTargets() []Target {
-	mk := func(name, desc string, ablated bool, timeout int64, adaptive bool) Target {
-		return Target{
-			Name:       name,
-			Desc:       desc,
-			Oracles:    []string{"monitor-frontier"},
-			N:          2,
-			Steps:      frontierSteps,
-			Ablated:    ablated,
-			NoCrashes:  true, // every suspicion must be attributable to timing alone
-			CrashProc:  -1,
-			Strategies: []Strategy{StrategyDLS},
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildFrontierMonitor(k, env, timeout, adaptive)
-			},
-		}
-	}
-	return []Target{
-		mk("frontier/monitor-adaptive",
-			"heartbeat monitor that doubles its timeout on false suspicion; sound at every (phi,delta)",
-			false, adversary.DLS{Phi: 1}.Guard(), true),
-		mk("frontier/monitor-fixed",
-			"ablated: timeout fixed at the phi=1,delta=0 guard; false suspicions grow along both axes",
-			true, adversary.DLS{Phi: 1}.Guard(), false),
-		mk("frontier/monitor-fixed-wide",
-			"ablated: timeout fixed at the phi=4,delta=8 guard; frontier shifted outward, still collapses",
-			true, adversary.DLS{Phi: 4, Delta: 8}.Guard(), false),
-	}
-}
-
-// buildFrontierMonitor wires the two-process probe. timeout is the initial
+// frontierMonitorRig wires the two-process probe. timeout is the initial
 // suspicion threshold in receiver polls; adaptive doubles it on every
 // false suspicion (the sound policy), a fixed monitor keeps it forever.
-func buildFrontierMonitor(k *sim.Kernel, env *Env, timeout int64, adaptive bool) (Check, error) {
-	hb := register.NewAtomic(k, "Hb", int64(0))
-	k.Spawn(0, "sender", func(p prim.Proc) {
-		var c int64
-		for {
-			c++
-			hb.Write(c)
-		}
-	})
-	half := env.Steps / 2
-	var (
-		polls, beats   int64 // receiver polls / observed value changes
-		onsets         int64 // false-suspicion onsets, second half only
-		suspected      bool
-		finalTimeout   = timeout
-		worstUnchanged int64
-	)
-	k.Spawn(1, "receiver", func(p prim.Proc) {
-		var last, unchanged int64
-		for {
-			v := hb.Read()
-			polls++
-			if v != last {
-				last = v
-				beats++
-				if suspected && adaptive {
-					// A heartbeat from a suspected sender proves the timeout
-					// too tight for this timing regime; double it (EPFD96).
-					finalTimeout *= 2
+func frontierMonitorRig(timeout int64, adaptive bool) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		hb := register.NewAtomic(k, "Hb", int64(0))
+		k.Spawn(0, "sender", func(p prim.Proc) {
+			var c int64
+			for {
+				c++
+				hb.Write(c)
+			}
+		})
+		half := env.Steps / 2
+		var (
+			polls, beats   int64 // receiver polls / observed value changes
+			onsets         int64 // false-suspicion onsets, second half only
+			suspected      bool
+			finalTimeout   = timeout
+			worstUnchanged int64
+		)
+		k.Spawn(1, "receiver", func(p prim.Proc) {
+			var last, unchanged int64
+			for {
+				v := hb.Read()
+				polls++
+				if v != last {
+					last = v
+					beats++
+					if suspected && adaptive {
+						// A heartbeat from a suspected sender proves the timeout
+						// too tight for this timing regime; double it (EPFD96).
+						finalTimeout *= 2
+					}
+					suspected = false
+					unchanged = 0
+					continue
 				}
-				suspected = false
-				unchanged = 0
-				continue
-			}
-			unchanged++
-			if unchanged > worstUnchanged {
-				worstUnchanged = unchanged
-			}
-			if !suspected && unchanged > finalTimeout {
-				suspected = true
-				if k.Step() >= half {
-					onsets++
+				unchanged++
+				if unchanged > worstUnchanged {
+					worstUnchanged = unchanged
+				}
+				if !suspected && unchanged > finalTimeout {
+					suspected = true
+					if k.Step() >= half {
+						onsets++
+					}
 				}
 			}
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "monitor-frontier"
-		if env.Steps < frontierMinSteps {
-			return []Verdict{vacuousf(oracle,
-				"budget %d below %d: adaptation window incomplete", env.Steps, frontierMinSteps)}
-		}
-		if k.Crashed(0) || k.Crashed(1) {
-			return []Verdict{vacuousf(oracle, "a probe process crashed: onsets are not attributable to timing")}
-		}
-		if beats == 0 || polls == 0 {
-			return []Verdict{vacuousf(oracle, "no heartbeats observed (%d polls)", polls)}
-		}
-		if onsets > frontierTolerance {
-			return []Verdict{failf(oracle,
-				"%d false-suspicion onsets in the second half (timeout %d→%d, worst unchanged run %d, %d beats/%d polls)",
-				onsets, timeout, finalTimeout, worstUnchanged, beats, polls)}
-		}
-		return []Verdict{okf(oracle,
-			"%d false-suspicion onsets ≤ tolerance %d (timeout %d→%d, worst unchanged run %d)",
-			onsets, frontierTolerance, timeout, finalTimeout, worstUnchanged)}
+		})
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if env.Steps < frontierMinSteps {
+				return vacuousf("budget %d below %d: adaptation window incomplete", env.Steps, frontierMinSteps)
+			}
+			if k.Crashed(0) || k.Crashed(1) {
+				return vacuousf("a probe process crashed: onsets are not attributable to timing")
+			}
+			if beats == 0 || polls == 0 {
+				return vacuousf("no heartbeats observed (%d polls)", polls)
+			}
+			if onsets > frontierTolerance {
+				return failf("%d false-suspicion onsets in the second half (timeout %d→%d, worst unchanged run %d, %d beats/%d polls)",
+					onsets, timeout, finalTimeout, worstUnchanged, beats, polls)
+			}
+			return okf("%d false-suspicion onsets ≤ tolerance %d (timeout %d→%d, worst unchanged run %d)",
+				onsets, frontierTolerance, timeout, finalTimeout, worstUnchanged)
+		}}, nil
 	}
-	return check, nil
 }

@@ -2,187 +2,88 @@ package explore
 
 import (
 	"fmt"
-	"strings"
 
-	"tbwf/internal/elector"
-	"tbwf/internal/lincheck"
 	"tbwf/internal/net"
 	"tbwf/internal/objtype"
-	"tbwf/internal/omega"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
 	"tbwf/internal/sim"
 )
 
-// The net/* targets fuzz the message-passing substrate: the same stacks
-// and oracles as the shared-memory targets, but every register operation
-// is now an ABD quorum protocol over the deterministic fabric, and the
-// adversary gains the network moves the ROADMAP says the other substrates
-// cannot express — seeded link-delay jitter, duplication, loss, and the
-// plan-carried partition/heal schedule (Plan.Partitions). The
-// quorum-breaking ablation (read quorum of 1, so the read and write
-// quorums no longer intersect) is the campaign's proof that the lincheck
-// oracle still has teeth through a network.
+// This file holds what the net/* rows (registry.go) add to the
+// shared-memory rigs: the two seeded fabrics, and the counter workload
+// that straddles a partition.
 
-// netTargets returns the message-passing substrate's registry entries.
-func netTargets() []Target {
-	return []Target{
-		{
-			Name:    "net/partition",
-			Desc:    "query-abortable counter over ABD majority quorums on the fabric, seeded mid-run partition/heal; lincheck oracle",
-			Oracles: []string{"lincheck"},
-			N:       3,
-			// ABD makes every register operation a two-phase quorum round
-			// (~10-30 kernel steps), and a partitioned client stalls until
-			// the heal; the budget covers both.
-			Steps:      300_000,
-			NoCrashes:  true, // lincheck needs a complete history
-			CrashProc:  -1,
-			Partitions: true,
-			Fabric:     true,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildNetCounter(k, env, net.Config{})
-			},
-		},
-		{
-			Name:    "net/reorder",
-			Desc:    "Ω∆ elector over ABD registers under delay jitter + duplicate faults; Definition 5 oracle",
-			Oracles: []string{"net-def5"},
-			N:       3,
-			// The activity monitors need ~700k steps to adapt their
-			// timeouts past ABD's quorum latency; the Definition 5 window
-			// is the second half, so the budget leaves the whole
-			// adaptation outside it.
-			Steps:     2_000_000,
-			NoCrashes: true, // a late crash legitimately destabilizes the check window
-			CrashProc: -1,
-			Fabric:    true,
-			Build:     buildNetDef5,
-		},
-		{
-			Name:       "net/partition-rq1",
-			Desc:       "ablated: read quorum of 1 breaks quorum intersection; lincheck must fail",
-			Oracles:    []string{"lincheck"},
-			N:          3,
-			Steps:      300_000,
-			Ablated:    true,
-			NoCrashes:  true,
-			CrashProc:  -1,
-			Partitions: true,
-			Fabric:     true,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildNetCounter(k, env, net.Config{ReadQuorum: 1})
-			},
-		},
+// dlsLinkDelays routes the DLS adversary's Δ into a fabric: under it the
+// fabric *is* the Δ bound, with link delays drawn from [1, 1+Δ] instead of
+// the rig's default jitter band. (The kernel's effect-delay hook stays off
+// for Fabric targets — see Target.Fabric — so the bound is charged exactly
+// once per message.)
+func dlsLinkDelays(env *Env, fcfg *net.FabricConfig) {
+	if env.DLS != nil {
+		fcfg.MinDelay, fcfg.MaxDelay = 1, 1+env.DLS.Delta
 	}
 }
 
-// buildNetCounter is buildQACounter lifted onto the net substrate: the
+// netCounterRig is qaCounterRig lifted onto the net substrate: the
 // query-abortable counter's registers are ABD quorum registers on a
 // seeded fabric, the plan's partition schedule cuts and heals the network
 // mid-run, and the oracle is the same lincheck over effected operations.
 // cfg carries the quorum sizes — the rq1 ablation passes ReadQuorum 1.
-func buildNetCounter(k *sim.Kernel, env *Env, cfg net.Config) (Check, error) {
-	fcfg := net.FabricConfig{
-		Seed:     env.Rand().Int63(),
-		MinDelay: 1,
-		MaxDelay: 4 + env.Rand().Int63n(5),
-		// Drops matter beyond forcing retransmits: once a quorum has
-		// answered, the broadcast returns and a dropped third-replica
-		// message is never resent, so that replica stays stale until a
-		// later write-back repairs it. Majority quorums absorb that by
-		// intersection; the rq1 ablation is exactly the configuration
-		// that reads through it.
-		DropProb:   0.1 + 0.2*env.Rand().Float64(),
-		Partitions: env.Partitions,
-	}
-	// Under the DLS adversary the fabric *is* the Δ bound: link delays are
-	// drawn from [1, 1+Δ] instead of the default jitter band. (The kernel's
-	// effect-delay hook stays off for Fabric targets — see Target.Fabric —
-	// so the bound is charged exactly once per message.)
-	if env.DLS != nil {
-		fcfg.MinDelay, fcfg.MaxDelay = 1, 1+env.DLS.Delta
-	}
-	sub, fab, err := net.NewFabric(k, fcfg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := qa.New(objtype.Counter{}, k.N(),
-		qa.SubstrateFactories[objtype.CounterOp](sub, tapedRegisterOptions(env)...), 0)
-	if err != nil {
-		return nil, err
-	}
-	n := k.N()
-	// The workload has two phases. A contention phase runs operations
-	// back-to-back from every client — the staleness adversary for the
-	// quorum ablation, where a read quorum of 1 can miss decided slots and
-	// double-apply operations. A straddle phase then gates the remaining
-	// operations around the plan's partition window, so operations are in
-	// flight when the cut lands, stall while isolated, and must complete
-	// (and still linearize) after the heal. 3×(16+4) = 60 operations stays
-	// under the checker's 64-op cap.
-	const contendOps, straddleOps = 16, 4
-	var cut, heal int64
-	for _, ev := range env.Partitions {
-		if len(ev.Groups) > 0 && (cut == 0 || ev.Step < cut) {
-			cut = ev.Step
+func netCounterRig(cfg net.Config) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		fcfg := net.FabricConfig{
+			Seed:     env.Rand().Int63(),
+			MinDelay: 1,
+			MaxDelay: 4 + env.Rand().Int63n(5),
+			// Drops matter beyond forcing retransmits: once a quorum has
+			// answered, the broadcast returns and a dropped third-replica
+			// message is never resent, so that replica stays stale until a
+			// later write-back repairs it. Majority quorums absorb that by
+			// intersection; the rq1 ablation is exactly the configuration
+			// that reads through it.
+			DropProb:   0.1 + 0.2*env.Rand().Float64(),
+			Partitions: env.Partitions,
 		}
-		if ev.Step > heal {
-			heal = ev.Step
+		dlsLinkDelays(env, &fcfg)
+		sub, fab, err := net.NewFabric(k, fcfg, cfg)
+		if err != nil {
+			return nil, err
 		}
-	}
-	var history []lincheck.Op[objtype.CounterOp, int64]
-	deltas := make([]int64, n)
-	for p := range deltas {
-		deltas[p] = 1 + env.Rand().Int63n(9)
-	}
-	for p := 0; p < n; p++ {
-		p := p
-		h := obj.Handle(p)
-		k.Spawn(p, fmt.Sprintf("client[%d]", p), func(proc prim.Proc) {
-			record := func(invokeAt int64, resp int64) {
-				history = append(history, lincheck.Op[objtype.CounterOp, int64]{
-					Proc:     p,
-					Invoke:   invokeAt,
-					Response: k.Step(),
-					Arg:      objtype.CounterOp{Delta: deltas[p]},
-					Resp:     resp,
-				})
+		obj, err := qa.New(objtype.Counter{}, k.N(),
+			qa.SubstrateFactories[objtype.CounterOp](sub, tapedRegisterOptions(env)...), 0)
+		if err != nil {
+			return nil, err
+		}
+		// The workload has two phases. A contention phase runs operations
+		// back-to-back from every client — the staleness adversary for the
+		// quorum ablation, where a read quorum of 1 can miss decided slots and
+		// double-apply operations. A straddle phase then gates the remaining
+		// operations around the plan's partition window, so operations are in
+		// flight when the cut lands, stall while isolated, and must complete
+		// (and still linearize) after the heal. 3×(16+4) = 60 operations stays
+		// under the checker's 64-op cap.
+		const contendOps, straddleOps = 16, 4
+		var cut, heal int64
+		for _, ev := range env.Partitions {
+			if len(ev.Groups) > 0 && (cut == 0 || ev.Step < cut) {
+				cut = ev.Step
 			}
-			settle := func() {
-				backoff := int64(2)
-				invokeAt := k.Step()
-			attempt:
-				for {
-					if resp, ok := h.Invoke(objtype.CounterOp{Delta: deltas[p]}); ok {
-						record(invokeAt, resp)
-						break
-					}
-					for {
-						resp, out := h.Query()
-						if out == qa.QueryApplied {
-							record(invokeAt, resp)
-							break attempt
-						}
-						if out == qa.QueryNotApplied {
-							break
-						}
-						proc.Step()
-					}
-					for s := int64(0); s < backoff; s++ {
-						proc.Step()
-					}
-					// Cap low: an ABD propose spans hundreds of kernel steps,
-					// so a large cap would serialize the clients and starve
-					// the oracle of the overlapping proposals it is checking.
-					backoff = backoff*2 + int64(p) + 1
-					if backoff > 512 {
-						backoff = 512 + int64(p)
-					}
-				}
+			if ev.Step > heal {
+				heal = ev.Step
+			}
+		}
+		// Back-off cap 512, not shared memory's 4096: an ABD propose spans
+		// hundreds of kernel steps, so a large cap would serialize the
+		// clients and starve the oracle of the overlapping proposals it is
+		// checking. Each operation starts its back-off over.
+		history := spawnQAClients(k, env, obj, 512, func(c *qaClient) {
+			do := func() {
+				c.backoff = 2
+				c.do()
 			}
 			for i := 0; i < contendOps; i++ {
-				settle()
+				do()
 			}
 			for j := 0; j < straddleOps; j++ {
 				if heal > 0 {
@@ -191,47 +92,24 @@ func buildNetCounter(k *sim.Kernel, env *Env, cfg net.Config) (Check, error) {
 					// starts after the heal.
 					at := cut - 500 + int64(j)*((heal-cut)+1500)/int64(straddleOps-1)
 					for k.Step() < at {
-						proc.Step()
+						c.proc.Step()
 					}
 				}
-				settle()
+				do()
 			}
 		})
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			f := linearizable(k, objtype.Counter{}, "effected ops", notIdle(res, len(*history)), *history)
+			r, w := sub.Quorums()
+			f.Detail += fmt.Sprintf(" (across partition/heal over quorums r=%d/w=%d, %d messages dropped)", r, w, fab.Dropped())
+			return f
+		}}, nil
 	}
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "lincheck"
-		for p := 0; p < k.N(); p++ {
-			if k.Crashed(p) {
-				return []Verdict{vacuousf(oracle, "process %d crashed: its in-flight operation may have taken effect unrecorded", p)}
-			}
-		}
-		if !res.Idle {
-			return []Verdict{vacuousf(oracle, "run did not go idle (%d ops settled): history may be incomplete", len(history))}
-		}
-		if len(history) == 0 {
-			return []Verdict{vacuousf(oracle, "no operation took effect")}
-		}
-		_, ok, err := lincheck.Check(objtype.Counter{}, history, lincheck.Options[int64, int64]{})
-		if err != nil {
-			return []Verdict{vacuousf(oracle, "checker rejected the history: %v", err)}
-		}
-		if !ok {
-			return []Verdict{failf(oracle,
-				"history of %d effected ops over quorums %s is not linearizable (%d messages dropped)",
-				len(history), quorumDesc(sub), fab.Dropped())}
-		}
-		return []Verdict{okf(oracle, "%d effected ops linearizable across partition/heal (%d messages dropped)", len(history), fab.Dropped())}
-	}
-	return check, nil
 }
 
-// buildNetDef5 deploys the Figure 3 elector on ABD registers over a
-// fabric with heavy delay jitter plus duplicate/drop faults — the
-// reordering adversary — with process 0 a permanent non-candidate, and
-// checks Definition 5 over the run's second half under the usual premises
-// (every process suffix-timely, leader outputs stabilized before the
-// window).
-func buildNetDef5(k *sim.Kernel, env *Env) (Check, error) {
+// reorderFabric places a def5Rig on ABD registers over a fabric with heavy
+// delay jitter plus duplicate faults — the reordering adversary.
+func reorderFabric(k *sim.Kernel, env *Env) (prim.Substrate, error) {
 	// Duplicates and delay jitter only — no loss. A dropped quorum
 	// message stalls the sender until the retransmit timer fires, a
 	// latency spike far beyond anything the monitors' adaptive timeouts
@@ -246,53 +124,9 @@ func buildNetDef5(k *sim.Kernel, env *Env) (Check, error) {
 		DupProb:         0.1 + 0.15*env.Rand().Float64(),
 		RetransmitEvery: 32,
 	}
-	// Δ routes into the link-delay band under the DLS adversary (see
-	// buildNetCounter); the jitter the monitors must adapt to is then the
-	// plan's pinned delay bound rather than a fixed draw.
-	if env.DLS != nil {
-		fcfg.MinDelay, fcfg.MaxDelay = 1, 1+env.DLS.Delta
-	}
+	// Under DLS the jitter the monitors must adapt to is the plan's pinned
+	// delay bound rather than a fixed draw.
+	dlsLinkDelays(env, &fcfg)
 	sub, _, err := net.NewFabric(k, fcfg, net.Config{})
-	if err != nil {
-		return nil, err
-	}
-	el, err := elector.Atomic.Build(sub, elector.Config{})
-	if err != nil {
-		return nil, err
-	}
-	insts := el.Instances()
-	rec := omega.NewRecorder(insts)
-	obs := omega.NewObserver(insts)
-	k.AfterStep(rec.Sample)
-	k.AfterStep(obs.Sample)
-	for _, inst := range insts[1:] {
-		inst.Candidate.Set(true)
-	}
-	env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
-	half := env.Steps / 2
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "net-def5"
-		suffix := suffixReport(k, half)
-		if !allTimely(suffix, allProcs(k.N()), def5TimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)}
-		}
-		if obs.StabilizedAt() > half {
-			return []Verdict{vacuousf(oracle,
-				"leader outputs still settling over the faulty network (last change at step %d, window from %d)", obs.StabilizedAt(), half)}
-		}
-		rep := sim.Analyze(k.Trace().Schedule(), k.N())
-		if viols := rec.CheckDefinition5(rep, def5TimelyBound, half, k.Crashed); len(viols) > 0 {
-			return []Verdict{failf(oracle, "%s", strings.Join(viols, "; "))}
-		}
-		return []Verdict{okf(oracle,
-			"Definition 5 holds over the final %d steps despite reorder/dup/drop (stabilized at %d)", half, obs.StabilizedAt())}
-	}
-	return check, nil
-}
-
-// quorumDesc formats a substrate's read/write quorum sizes for verdicts.
-func quorumDesc(sub *net.Substrate) string {
-	r, w := sub.Quorums()
-	return fmt.Sprintf("r=%d/w=%d", r, w)
+	return sub, err
 }

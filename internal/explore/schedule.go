@@ -192,12 +192,12 @@ func NewPlan(tgt Target, seed, budget int64) Plan {
 		d := adversary.DLS{Phi: 1 + rng.Int63n(8), Delta: rng.Int63n(17)}
 		p.DLS = &d
 	}
-	if tgt.CrashProc >= 0 {
+	for _, proc := range tgt.MustCrash {
 		// The target wants this process crashed in every run (its oracle is
 		// about crash handling); land the crash in the second quarter so
 		// there is run left to observe.
 		at := steps/4 + rng.Int63n(maxInt64(steps/4, 1))
-		p.Crashes = append(p.Crashes, Crash{Proc: tgt.CrashProc, Step: at})
+		p.Crashes = append(p.Crashes, Crash{Proc: proc, Step: at})
 	}
 	if !tgt.NoCrashes && rng.Float64() < 0.25 {
 		p.Crashes = append(p.Crashes, Crash{Proc: rng.Intn(tgt.N), Step: rng.Int63n(steps)})

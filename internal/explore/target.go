@@ -2,74 +2,27 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tbwf/internal/core"
 	"tbwf/internal/deploy"
 	"tbwf/internal/elector"
+	"tbwf/internal/exp"
 	"tbwf/internal/lincheck"
 	"tbwf/internal/monitor"
 	"tbwf/internal/objtype"
 	"tbwf/internal/omega"
-	"tbwf/internal/omegaab"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
 	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
 
-// Check judges a finished run: it is returned by a target's Build and
-// called once after Kernel.Run with the run result. It must only read.
-type Check func(k *sim.Kernel, res sim.RunResult) []Verdict
-
-// Target is one fuzzable system-under-test: a wiring recipe plus its
-// property oracles. The registry (Targets) covers the repo's main
-// constructions and, for each design element the paper motivates, an
-// *ablated* variant whose oracle is expected to fail — the campaign's
-// built-in proof that the oracles have teeth.
-type Target struct {
-	// Name is the registry key, stored in plans and artifacts.
-	Name string
-	// Desc is a one-line description for -list output.
-	Desc string
-	// N is the kernel's process count.
-	N int
-	// Steps is the default step budget when the plan does not set one.
-	Steps int64
-	// Oracles names the property oracles the target's check emits, for
-	// -list output and the frontier map's per-oracle rate rows. (The
-	// kernel-level "no-panic" oracle can additionally appear on any
-	// target whose run panics.)
-	Oracles []string
-	// Ablated marks deliberately broken variants: excluded from "all"
-	// campaigns unless asked for, and *expected* to produce failures.
-	Ablated bool
-	// Fabric marks targets whose registers are quorum protocols over
-	// net.Fabric: the DLS adversary's Δ routes into the fabric's link
-	// delay distribution (the target reads env.DLS) instead of the
-	// kernel's effect-delay hook, so the bound is charged once.
-	Fabric bool
-	// NoCrashes excludes the target from random crash injection (its
-	// oracle's premise cannot survive a crash).
-	NoCrashes bool
-	// CrashProc, when >= 0, makes every generated plan crash this process
-	// mid-run (for oracles *about* crash handling). -1 means none.
-	CrashProc int
-	// Strategies restricts plan generation to these strategies; nil means
-	// all of them.
-	Strategies []Strategy
-	// Partitions marks net/* targets: the plan generator adds a seeded
-	// majority-preserving partition/heal schedule to every plan, which the
-	// target's fabric applies mid-run.
-	Partitions bool
-	// Avail optionally restricts per-process availability (layered over the
-	// plan's schedule via sim.Restrict), for targets whose property needs a
-	// structurally slow process.
-	Avail func(env *Env) map[int]sim.Availability
-	// Build wires the system on the kernel (registers, tasks, probes) and
-	// returns the run's check. It must derive all randomness from env.
-	Build func(k *sim.Kernel, env *Env) (Check, error)
-}
+// This file holds the shared-memory rigs of the registry (registry.go):
+// each is written once and parameterised by what its rows vary — the
+// elector behind the seam, the substrate it is placed on, or the one
+// design element an ablated row breaks.
 
 // Oracle conditioning constants. Each is the premise under which the
 // corresponding property is actually asserted; outside it the verdict is
@@ -103,309 +56,6 @@ const (
 	messengerMinSteps    = 50_000
 )
 
-// Targets returns the registry of fuzz targets: the stack-level entries
-// below plus the service-level serve/* entries (serveTargets).
-func Targets() []Target {
-	ts := []Target{
-		{
-			Name:      "qa-counter",
-			Desc:      "query-abortable counter under taped abort/effect adversaries; lincheck oracle",
-			Oracles:   []string{"lincheck"},
-			N:         3,
-			Steps:     200_000,
-			NoCrashes: true, // lincheck needs a complete history
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildQACounter(k, env, false)
-			},
-		},
-		{
-			Name:      "qa-counter-misreport",
-			Desc:      "ablated: one response misreported to the checker; lincheck must fail",
-			Oracles:   []string{"lincheck"},
-			N:         3,
-			Steps:     200_000,
-			Ablated:   true,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildQACounter(k, env, true)
-			},
-		},
-		{
-			Name:      "counter-atomic",
-			Desc:      "full TBWF counter stack on Ω∆-from-atomic-registers; progress + log-accounting oracles",
-			Oracles:   []string{"log-accounting", "tbwf-progress"},
-			N:         3,
-			Steps:     600_000,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildStack(k, env, elector.Atomic, atomicStackMinSteps)
-			},
-		},
-		{
-			Name:      "counter-abortable",
-			Desc:      "full TBWF counter stack on Ω∆-from-abortable-registers (Theorem 15); progress + log-accounting oracles",
-			Oracles:   []string{"log-accounting", "tbwf-progress"},
-			N:         3,
-			Steps:     2_500_000,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildStack(k, env, elector.Abortable, abortableStackMinSteps)
-			},
-		},
-		{
-			Name:      "omega-registers",
-			Desc:      "Ω∆ from atomic registers, all candidates; Definition 5 oracle",
-			Oracles:   []string{"omega-def5"},
-			N:         3,
-			Steps:     400_000,
-			NoCrashes: true, // a late crash legitimately destabilizes the check window
-			CrashProc: -1,
-			Build:     buildOmegaDef5,
-		},
-		{
-			Name:      "omega-churn",
-			Desc:      "Ω∆ under perpetual candidacy churn; leadership-stability oracle",
-			Oracles:   []string{"omega-churn-stability"},
-			N:         3,
-			Steps:     400_000,
-			CrashProc: -1,
-			// The churn-stability oracle is calibrated for adversaries whose
-			// timing regime is stationary: the DLS schedule rotates its
-			// starvation victim every era, so monitor timeouts keep being
-			// re-surprised and second-half leadership stability is not a
-			// sound expectation at high phi (a premise, not a protocol bug).
-			Strategies: []Strategy{StrategyWalk, StrategyPattern, StrategyPBound},
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildOmegaChurn(k, env, false)
-			},
-		},
-		{
-			Name:      "omega-churn-noselfpunish",
-			Desc:      "ablated (A2): Figure 3 without self-punishment; churn steals leadership forever",
-			Oracles:   []string{"omega-churn-stability"},
-			N:         3,
-			Steps:     400_000,
-			Ablated:   true,
-			CrashProc: -1,
-			// The churn-stability oracle is calibrated for adversaries whose
-			// timing regime is stationary: the DLS schedule rotates its
-			// starvation victim every era, so monitor timeouts keep being
-			// re-surprised and second-half leadership stability is not a
-			// sound expectation at high phi (a premise, not a protocol bug).
-			Strategies: []Strategy{StrategyWalk, StrategyPattern, StrategyPBound},
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildOmegaChurn(k, env, true)
-			},
-		},
-		{
-			Name:      "elector-atomic",
-			Desc:      "bake-off: Figure 3 elector through the pluggable seam, process 0 non-candidate; Definition 5 oracle",
-			Oracles:   []string{"elector-def5"},
-			N:         3,
-			Steps:     400_000,
-			NoCrashes: true, // a late crash legitimately destabilizes the check window
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorDef5(k, env, elector.Atomic)
-			},
-		},
-		{
-			Name:      "elector-abortable",
-			Desc:      "bake-off: Figure 6 elector through the pluggable seam (default abort policy), process 0 non-candidate; Definition 5 oracle",
-			Oracles:   []string{"elector-def5"},
-			N:         3,
-			Steps:     800_000,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorDef5(k, env, elector.Abortable)
-			},
-		},
-		{
-			Name:      "elector-nerio",
-			Desc:      "bake-off: Nerio epoch/lease elector, process 0 non-candidate; Definition 5 oracle",
-			Oracles:   []string{"elector-def5"},
-			N:         3,
-			Steps:     400_000,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorDef5(k, env, elector.Nerio)
-			},
-		},
-		{
-			Name:      "elector-nerio-nodepose",
-			Desc:      "ablated: Nerio without deposition; the epoch freezes on the non-candidate and Definition 5 must fail",
-			Oracles:   []string{"elector-def5"},
-			N:         3,
-			Steps:     400_000,
-			Ablated:   true,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorDef5(k, env, elector.NewNerio(elector.NerioOptions{NoDepose: true}))
-			},
-		},
-		{
-			Name:      "elector-reputation",
-			Desc:      "bake-off: reputation-penalty elector, process 0 non-candidate; Definition 5 oracle",
-			Oracles:   []string{"elector-def5"},
-			N:         3,
-			Steps:     400_000,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorDef5(k, env, elector.Reputation)
-			},
-		},
-		{
-			Name:      "elector-reputation-churn",
-			Desc:      "bake-off: reputation-penalty elector under perpetual candidacy churn; leadership-stability oracle",
-			Oracles:   []string{"elector-churn-stability"},
-			N:         3,
-			Steps:     400_000,
-			CrashProc: -1,
-			// The churn-stability oracle is calibrated for adversaries whose
-			// timing regime is stationary: the DLS schedule rotates its
-			// starvation victim every era, so monitor timeouts keep being
-			// re-surprised and second-half leadership stability is not a
-			// sound expectation at high phi (a premise, not a protocol bug).
-			Strategies: []Strategy{StrategyWalk, StrategyPattern, StrategyPBound},
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorChurn(k, env, elector.Reputation)
-			},
-		},
-		{
-			Name:      "elector-reputation-nopenalty",
-			Desc:      "ablated: reputation without penalties; churn steals leadership forever and the stability oracle must fail",
-			Oracles:   []string{"elector-churn-stability"},
-			N:         3,
-			Steps:     400_000,
-			Ablated:   true,
-			CrashProc: -1,
-			// The churn-stability oracle is calibrated for adversaries whose
-			// timing regime is stationary: the DLS schedule rotates its
-			// starvation victim every era, so monitor timeouts keep being
-			// re-surprised and second-half leadership stability is not a
-			// sound expectation at high phi (a premise, not a protocol bug).
-			Strategies: []Strategy{StrategyWalk, StrategyPattern, StrategyPBound},
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildElectorChurn(k, env, elector.NewReputation(elector.ReputationOptions{NoPenalty: true}))
-			},
-		},
-		{
-			Name:      "heartbeat-dual",
-			Desc:      "Figure 5 dual-register heartbeat vs a pathologically slow sender; suspicion oracle",
-			Oracles:   []string{"hb-suspects-slow-sender"},
-			N:         2,
-			Steps:     400_000,
-			CrashProc: -1,
-			Avail:     slowSenderAvail,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildHeartbeat(k, env, false)
-			},
-		},
-		{
-			Name:      "heartbeat-single",
-			Desc:      "ablated (A1): single-register heartbeat; aborts alone fool the receiver",
-			Oracles:   []string{"hb-suspects-slow-sender"},
-			N:         2,
-			Steps:     400_000,
-			Ablated:   true,
-			CrashProc: -1,
-			Avail:     slowSenderAvail,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildHeartbeat(k, env, true)
-			},
-		},
-		{
-			Name:      "messenger-backoff",
-			Desc:      "Figure 4 messenger with reader back-off; delivery oracle",
-			Oracles:   []string{"messenger-delivery"},
-			N:         2,
-			Steps:     150_000,
-			NoCrashes: true, // a crashed writer never delivers, trivially
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildMessenger(k, env, false)
-			},
-		},
-		{
-			Name:      "messenger-nobackoff",
-			Desc:      "ablated (A3): no reader back-off; phase-locked schedules starve delivery",
-			Oracles:   []string{"messenger-delivery"},
-			N:         2,
-			Steps:     150_000,
-			Ablated:   true,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildMessenger(k, env, true)
-			},
-		},
-		{
-			Name:      "monitor-pair",
-			Desc:      "activity monitor A(p,q) with q crashing mid-run; Definition 9 Property 5b oracle",
-			Oracles:   []string{"monitor-5b"},
-			N:         2,
-			Steps:     150_000,
-			CrashProc: 1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildMonitor(k, env, false)
-			},
-		},
-		{
-			Name:      "monitor-nogate",
-			Desc:      "ablated: fault-counter gate removed; a crashed process is charged forever",
-			Oracles:   []string{"monitor-5b"},
-			N:         2,
-			Steps:     150_000,
-			Ablated:   true,
-			CrashProc: 1,
-			Build: func(k *sim.Kernel, env *Env) (Check, error) {
-				return buildMonitor(k, env, true)
-			},
-		},
-		{
-			Name:      "selftest-panic",
-			Desc:      "ablated: a task that panics at a seed-derived step; exercises the panic artifact path",
-			Oracles:   []string{"selftest", "no-panic"},
-			N:         1,
-			Steps:     20_000,
-			Ablated:   true,
-			NoCrashes: true,
-			CrashProc: -1,
-			Build:     buildSelftestPanic,
-		},
-	}
-	ts = append(ts, netTargets()...)
-	ts = append(ts, serveTargets()...)
-	ts = append(ts, shardTargets()...)
-	return append(ts, frontierTargets()...)
-}
-
-// TargetNames returns the registered target names, registry order.
-func TargetNames() []string {
-	ts := Targets()
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Name
-	}
-	return out
-}
-
-// TargetByName resolves a registry entry.
-func TargetByName(name string) (Target, error) {
-	for _, t := range Targets() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return Target{}, fmt.Errorf("explore: unknown target %q (known: %s)", name, strings.Join(TargetNames(), ", "))
-}
-
 // tapedRegisterOptions derives a taped abort/effect adversary for this run:
 // the probabilities come from the target stream, every decision goes through
 // the plan's tape. The abort probability is kept >= 0.5 so contention stays
@@ -419,521 +69,378 @@ func tapedRegisterOptions(env *Env) []register.AbOption {
 	}
 }
 
-// buildQACounter wires the query-abortable counter with one client task per
-// process running a small settled-operation workload, and a lincheck oracle
-// over the effected operations. With corrupt set, one recorded response is
-// deliberately misreported — the oracle's self-test.
-func buildQACounter(k *sim.Kernel, env *Env, corrupt bool) (Check, error) {
-	obj, err := qa.NewSim(k, objtype.Counter{}, tapedRegisterOptions(env)...)
-	if err != nil {
-		return nil, err
+// qaClient is one process's client of a query-abortable counter: every
+// operation adds the process's own delta, is driven to a settled response,
+// and lands in the shared history the lincheck oracle reads.
+type qaClient struct {
+	k    *sim.Kernel
+	proc prim.Proc
+	h    *qa.Handle[int64, objtype.CounterOp, int64]
+	p    int
+	op   objtype.CounterOp
+	// backoff is the next back-off in steps, capped at backoffCap (+p).
+	backoff, backoffCap int64
+	// The kernel runs one task at a time, so appending to the shared
+	// history needs no locking.
+	history *[]lincheck.Op[objtype.CounterOp, int64]
+}
+
+// do performs one operation and records it.
+func (c *qaClient) do() {
+	invokeAt := c.k.Step()
+	resp := c.settle()
+	*c.history = append(*c.history, lincheck.Op[objtype.CounterOp, int64]{
+		Proc:     c.p,
+		Invoke:   invokeAt,
+		Response: c.k.Step(),
+		Arg:      c.op,
+		Resp:     resp,
+	})
+}
+
+// settle is the query-abortable client loop: Invoke, and on ⊥ Query until
+// the operation's fate is decided, then back off and re-invoke.
+func (c *qaClient) settle() int64 {
+	for {
+		if resp, ok := c.h.Invoke(c.op); ok {
+			return resp
+		}
+		// ⊥: settle the fate before doing anything else.
+		for {
+			resp, out := c.h.Query()
+			if out == qa.QueryApplied {
+				return resp
+			}
+			if out == qa.QueryNotApplied {
+				break
+			}
+			c.proc.Step() // query aborted; retry it after a step
+		}
+		// Definitely not applied: back off before re-invoking. The
+		// per-process growth factors differ so phase-locked
+		// contenders desynchronize; a seed that still livelocks
+		// simply never goes idle and the oracle stays vacuous.
+		for s := int64(0); s < c.backoff; s++ {
+			c.proc.Step()
+		}
+		c.backoff = c.backoff*2 + int64(c.p) + 1
+		if c.backoff > c.backoffCap {
+			c.backoff = c.backoffCap + int64(c.p)
+		}
 	}
-	n := k.N()
-	var history []lincheck.Op[objtype.CounterOp, int64]
-	deltas := make([]int64, n)
+}
+
+// spawnQAClients draws one delta per process and spawns one client task
+// per process running workload; it returns the history they share.
+func spawnQAClients(k *sim.Kernel, env *Env, obj *qa.SharedObject[int64, objtype.CounterOp, int64],
+	backoffCap int64, workload func(c *qaClient)) *[]lincheck.Op[objtype.CounterOp, int64] {
+	history := new([]lincheck.Op[objtype.CounterOp, int64])
+	deltas := make([]int64, k.N())
 	for p := range deltas {
 		deltas[p] = 1 + env.Rand().Int63n(9)
 	}
-	for p := 0; p < n; p++ {
-		p := p
-		h := obj.Handle(p)
+	for p := range deltas {
+		c := &qaClient{k: k, h: obj.Handle(p), p: p, op: objtype.CounterOp{Delta: deltas[p]},
+			backoff: 2, backoffCap: backoffCap, history: history}
 		k.Spawn(p, fmt.Sprintf("client[%d]", p), func(proc prim.Proc) {
-			// The kernel runs one task at a time, so appending to the shared
-			// history needs no locking.
-			record := func(invokeAt int64, resp int64) {
-				history = append(history, lincheck.Op[objtype.CounterOp, int64]{
-					Proc:     p,
-					Invoke:   invokeAt,
-					Response: k.Step(),
-					Arg:      objtype.CounterOp{Delta: deltas[p]},
-					Resp:     resp,
-				})
-			}
-			backoff := int64(2)
-			for i := 0; i < qaOpsPerProc; i++ {
-				invokeAt := k.Step()
-			attempt:
-				for {
-					if resp, ok := h.Invoke(objtype.CounterOp{Delta: deltas[p]}); ok {
-						record(invokeAt, resp)
-						break
-					}
-					// ⊥: settle the fate before doing anything else.
-					for {
-						resp, out := h.Query()
-						if out == qa.QueryApplied {
-							record(invokeAt, resp)
-							break attempt
-						}
-						if out == qa.QueryNotApplied {
-							break
-						}
-						proc.Step() // query aborted; retry it after a step
-					}
-					// Definitely not applied: back off before re-invoking. The
-					// per-process growth factors differ so phase-locked
-					// contenders desynchronize; a seed that still livelocks
-					// simply never goes idle and the oracle stays vacuous.
-					for s := int64(0); s < backoff; s++ {
-						proc.Step()
-					}
-					backoff = backoff*2 + int64(p) + 1
-					if backoff > 4096 {
-						backoff = 4096 + int64(p)
-					}
-				}
-			}
+			c.proc = proc
+			workload(c)
 		})
 	}
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "lincheck"
-		hist := history
-		if corrupt && len(hist) > 0 {
-			hist = append([]lincheck.Op[objtype.CounterOp, int64](nil), hist...)
-			hist[0].Resp++ // the deliberate misreport under test
+	return history
+}
+
+// qaCounterRig wires the query-abortable counter with one client task per
+// process running a small settled-operation workload, and a lincheck oracle
+// over the effected operations. With corrupt set, one recorded response is
+// deliberately misreported — the oracle's self-test.
+func qaCounterRig(corrupt bool) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		obj, err := qa.NewSim(k, objtype.Counter{}, tapedRegisterOptions(env)...)
+		if err != nil {
+			return nil, err
+		}
+		history := spawnQAClients(k, env, obj, 4096, func(c *qaClient) {
+			for i := 0; i < qaOpsPerProc; i++ {
+				c.do()
+			}
+		})
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			hist := *history
+			if corrupt && len(hist) > 0 {
+				hist = slices.Clone(hist)
+				hist[0].Resp++ // the deliberate misreport under test
+			}
+			return linearizable(k, objtype.Counter{}, "effected ops", notIdle(res, len(hist)), hist)
+		}}, nil
+	}
+}
+
+// stackRig wires the full TBWF counter stack with hammer clients and two
+// oracles: log accounting (completed operations never exceed allocated log
+// slots) and TBWF progress (every timely process completes its quota).
+func stackRig(builder elector.Builder, minSteps int64) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		st, err := deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(k), objtype.Counter{}, deploy.BuildConfig{
+			Elector:         builder,
+			RegisterOptions: tapedRegisterOptions(env),
+		})
+		if err != nil {
+			return nil, err
 		}
 		for p := 0; p < k.N(); p++ {
-			if k.Crashed(p) {
-				return []Verdict{vacuousf(oracle, "process %d crashed: its in-flight operation may have taken effect unrecorded", p)}
+			k.Spawn(p, fmt.Sprintf("client[%d]", p), func(pp prim.Proc) {
+				for {
+					st.Clients[p].Invoke(pp, objtype.CounterOp{Delta: 1})
+				}
+			})
+		}
+		accounting := func(*sim.Kernel, sim.RunResult) Judgement {
+			var sum int64
+			for _, c := range st.CompletedOps() {
+				sum += c
 			}
+			slots := st.Object.Slots()
+			if sum > slots {
+				return failf("%d completed ops but only %d log slots allocated", sum, slots)
+			}
+			return okf("%d completed ops over %d log slots", sum, slots)
 		}
-		if !res.Idle {
-			// Soundness: an unfinished Invoke may already have taken effect;
-			// checking the recorded prefix could report a false violation.
-			return []Verdict{vacuousf(oracle, "run did not go idle (%d ops settled): history may be incomplete", len(hist))}
+		progress := func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if res.Steps < minSteps {
+				return vacuousf("budget %d below the %d the %s stack needs to stabilize", res.Steps, minSteps, st.Elector.Name())
+			}
+			completed := st.CompletedOps()
+			rep := sim.Analyze(k.Trace().Schedule(), k.N())
+			wanted := make([]int64, k.N())
+			for p := range wanted {
+				if !k.Crashed(p) {
+					wanted[p] = 2
+				}
+			}
+			rpt, err := core.Evaluate(rep, completed, wanted, progressThreshold)
+			if err != nil {
+				return failf("evaluate: %v", err)
+			}
+			if !rpt.TBWFHolds() {
+				return failf("timely processes %v did not complete their quota; completed=%v", rpt.Violations(), completed)
+			}
+			done, total := rpt.TimelyCompleted()
+			return okf("%d/%d timely processes completed their quota", done, total)
 		}
-		if len(hist) == 0 {
-			return []Verdict{vacuousf(oracle, "no operation took effect")}
-		}
-		_, ok, err := lincheck.Check(objtype.Counter{}, hist, lincheck.Options[int64, int64]{})
-		if err != nil {
-			return []Verdict{vacuousf(oracle, "checker rejected the history: %v", err)}
-		}
-		if !ok {
-			return []Verdict{failf(oracle, "history of %d effected ops is not linearizable", len(hist))}
-		}
-		return []Verdict{okf(oracle, "%d effected ops linearizable", len(hist))}
+		return []Judge{accounting, progress}, nil
 	}
-	return check, nil
 }
 
-// buildStack wires the full TBWF counter stack with hammer clients and two
-// oracles: TBWF progress (every timely process completes its quota) and log
-// accounting (completed operations never exceed allocated log slots).
-func buildStack(k *sim.Kernel, env *Env, builder elector.Builder, minSteps int64) (Check, error) {
-	st, err := deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(k), objtype.Counter{}, deploy.BuildConfig{
-		Elector:         builder,
-		RegisterOptions: tapedRegisterOptions(env),
-	})
-	if err != nil {
-		return nil, err
+// sharedMemory places a rig on the kernel's own registers; the net rows
+// place theirs on a fabric they make first (net_target.go).
+func sharedMemory(k *sim.Kernel, _ *Env) (prim.Substrate, error) { return deploy.Sim(k), nil }
+
+// suffixTimely is the shared premise of the Ω∆ oracles: every process
+// must stay suffix-timely from step from on (the finite reading of
+// Definition 5 and of churn stability presumes candidates keep taking
+// steps). It returns the vacuous reason, or "".
+func suffixTimely(k *sim.Kernel, from int64) string {
+	suffix := suffixReport(k, from)
+	procs := make([]int, k.N())
+	for p := range procs {
+		procs[p] = p
 	}
-	for p := 0; p < k.N(); p++ {
-		p := p
-		k.Spawn(p, fmt.Sprintf("client[%d]", p), func(pp prim.Proc) {
-			for {
-				st.Clients[p].Invoke(pp, objtype.CounterOp{Delta: 1})
+	if allTimely(suffix, procs, def5TimelyBound) {
+		return ""
+	}
+	return fmt.Sprintf("not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)
+}
+
+// def5Rig deploys one elector through the elector seam — the same Builder
+// contract the composition root consumes — on the substrate place makes,
+// with nonCandidates permanent *non*-candidates and the rest permanent
+// candidates, and checks Definition 5 over the run's second half. It is
+// the one Definition 5 oracle: the paper's two constructions, on shared
+// memory and on the fabric, and the two imported competitors (nerio,
+// reputation) all face the same check, and the ablated variant (NoDepose)
+// is the negative control proving it has teeth.
+//
+// Two premises gate the check: every process must stay suffix-timely, and
+// the leader outputs must have stabilized before the window — Definition 5
+// is an *eventual* property and stabilization time is finite but unbounded,
+// so a still-settling run proves nothing either way. What remains has
+// teeth: a stable leader vector must agree on a timely, self-electing
+// leader.
+func def5Rig(place func(*sim.Kernel, *Env) (prim.Substrate, error), builder elector.Builder, nonCandidates ...int) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		sub, err := place(k, env)
+		if err != nil {
+			return nil, err
+		}
+		el, err := builder.Build(sub, elector.Config{})
+		if err != nil {
+			return nil, err
+		}
+		insts := el.Instances()
+		rec := omega.NewRecorder(insts)
+		obs := omega.NewObserver(insts)
+		k.AfterStep(rec.Sample)
+		k.AfterStep(obs.Sample)
+		for p, inst := range insts {
+			if !slices.Contains(nonCandidates, p) { // those stay Ncandidates
+				inst.Candidate.Set(true)
+			}
+		}
+		env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
+		half := env.Steps / 2
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if untimely := suffixTimely(k, half); untimely != "" {
+				return vacuousf("%s", untimely)
+			}
+			if obs.StabilizedAt() > half {
+				return vacuousf("%s leader outputs still settling (last change at step %d, window from %d)",
+					el.Name(), obs.StabilizedAt(), half)
+			}
+			rep := sim.Analyze(k.Trace().Schedule(), k.N())
+			if viols := rec.CheckDefinition5(rep, def5TimelyBound, half, k.Crashed); len(viols) > 0 {
+				return failf("%s: %s", el.Name(), strings.Join(viols, "; "))
+			}
+			return okf("%s satisfies Definition 5 over the final %d steps (stabilized at %d)", el.Name(), half, obs.StabilizedAt())
+		}}, nil
+	}
+}
+
+// churnRig runs one elector through the A2 scenario (exp.ChurnRig) —
+// process 0 toggling candidacy forever — and asserts that leadership at
+// the two permanent candidates stops reacting to the churn. That needs
+// Figure 3's self-punishment rule, or the reputation elector's pricing of
+// re-entries; the NoSelfPunish and NoPenalty ablations leave the lowest-id
+// process stealing leadership on every re-entry, and the oracle fails.
+func churnRig(builder elector.Builder) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		period := max(env.Steps/30, 2_000)
+		el, obs, err := exp.ChurnRig(k, builder, period)
+		if err != nil {
+			return nil, err
+		}
+		env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
+		half := env.Steps / 2
+		var firstHalf int64
+		k.AfterStep(func(step int64) {
+			if step == half {
+				firstHalf = obs.Changes()
 			}
 		})
-	}
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		completed := st.CompletedOps()
-		var sum int64
-		for _, c := range completed {
-			sum += c
-		}
-		verdicts := []Verdict{}
-		if slots := st.Object.Slots(); sum > slots {
-			verdicts = append(verdicts, failf("log-accounting",
-				"%d completed ops but only %d log slots allocated", sum, slots))
-		} else {
-			verdicts = append(verdicts, okf("log-accounting", "%d completed ops over %d log slots", sum, slots))
-		}
-		const oracle = "tbwf-progress"
-		if res.Steps < minSteps {
-			verdicts = append(verdicts, vacuousf(oracle,
-				"budget %d below the %d the %s stack needs to stabilize", res.Steps, minSteps, st.Elector.Name()))
-			return verdicts
-		}
-		rep := sim.Analyze(k.Trace().Schedule(), k.N())
-		wanted := make([]int64, k.N())
-		for p := range wanted {
-			if !k.Crashed(p) {
-				wanted[p] = 2
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if res.Steps < churnMinSteps {
+				return vacuousf("budget %d below the %d the %s elector needs to adapt", res.Steps, churnMinSteps, el.Name())
 			}
-		}
-		rpt, err := core.Evaluate(rep, completed, wanted, progressThreshold)
-		if err != nil {
-			return append(verdicts, failf(oracle, "evaluate: %v", err))
-		}
-		if !rpt.TBWFHolds() {
-			return append(verdicts, failf(oracle,
-				"timely processes %v did not complete their quota; completed=%v", rpt.Violations(), completed))
-		}
-		done, total := rpt.TimelyCompleted()
-		return append(verdicts, okf(oracle, "%d/%d timely processes completed their quota", done, total))
+			if untimely := suffixTimely(k, half); untimely != "" {
+				return vacuousf("%s", untimely)
+			}
+			second := obs.Changes() - firstHalf
+			if second > churnTolerance {
+				return failf("%s: %d leader changes at the permanent candidates in the 2nd half (tolerance %d): churn keeps stealing leadership",
+					el.Name(), second, churnTolerance)
+			}
+			return okf("%s: %d leader changes in the 2nd half despite churn every %d steps", el.Name(), second, period)
+		}}, nil
 	}
-	return check, nil
 }
 
-// buildOmegaDef5 wires Ω∆ from atomic registers with every process a
-// permanent candidate and checks Definition 5 over the run's second half.
-// Two premises gate the check: every process must stay suffix-timely (the
-// finite spec reading presumes candidates keep taking steps), and the
-// leader outputs must have stabilized before the window — Definition 5 is
-// an *eventual* property and stabilization time is finite but unbounded, so
-// a still-settling run proves nothing either way. What remains has teeth:
-// a stable leader vector must agree on a timely, self-electing leader.
-func buildOmegaDef5(k *sim.Kernel, env *Env) (Check, error) {
-	sys, err := omega.BuildRegisters(k)
-	if err != nil {
-		return nil, err
-	}
-	rec := omega.NewRecorder(sys.Instances)
-	obs := omega.NewObserver(sys.Instances)
-	k.AfterStep(rec.Sample)
-	k.AfterStep(obs.Sample)
-	for _, inst := range sys.Instances {
-		inst.Candidate.Set(true)
-	}
-	env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
-	half := env.Steps / 2
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "omega-def5"
-		procs := allProcs(k.N())
-		suffix := suffixReport(k, half)
-		if !allTimely(suffix, procs, def5TimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)}
-		}
-		if obs.StabilizedAt() > half {
-			return []Verdict{vacuousf(oracle,
-				"leader outputs still settling (last change at step %d, window from %d)", obs.StabilizedAt(), half)}
-		}
-		rep := sim.Analyze(k.Trace().Schedule(), k.N())
-		if viols := rec.CheckDefinition5(rep, def5TimelyBound, half, k.Crashed); len(viols) > 0 {
-			return []Verdict{failf(oracle, "%s", strings.Join(viols, "; "))}
-		}
-		return []Verdict{okf(oracle, "Definition 5 holds over the final %d steps (stabilized at %d)", half, obs.StabilizedAt())}
-	}
-	return check, nil
-}
-
-// buildOmegaChurn wires Ω∆ with process 0 toggling candidacy forever (the
-// A2 scenario) and asserts that leadership at the two permanent candidates
-// stops reacting to the churn — which needs Figure 3's self-punishment rule.
-func buildOmegaChurn(k *sim.Kernel, env *Env, ablate bool) (Check, error) {
-	dep, err := omega.BuildWith(k.N(), k, func(name string, init int64) prim.Register[int64] {
-		return register.NewAtomic(k, name, init)
-	}, omega.BuildOptions{AblateSelfPunishment: ablate})
-	if err != nil {
-		return nil, err
-	}
-	obs := omega.NewObserver(dep.Instances[1:]) // the permanent candidates
-	k.AfterStep(obs.Sample)
-	for _, inst := range dep.Instances {
-		inst.Candidate.Set(true)
-	}
-	env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
-	period := env.Steps / 30
-	if period < 2_000 {
-		period = 2_000
-	}
-	half := env.Steps / 2
-	var firstHalf int64
-	k.AfterStep(func(step int64) {
-		if step%period == 0 {
-			inst := dep.Instances[0]
-			inst.Candidate.Set(!inst.Candidate.Get())
-		}
-		if step == half {
-			firstHalf = obs.Changes()
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "omega-churn-stability"
-		if res.Steps < churnMinSteps {
-			return []Verdict{vacuousf(oracle, "budget %d below the %d the monitors need to adapt", res.Steps, churnMinSteps)}
-		}
-		suffix := suffixReport(k, half)
-		if !allTimely(suffix, allProcs(k.N()), def5TimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)}
-		}
-		second := obs.Changes() - firstHalf
-		if second > churnTolerance {
-			return []Verdict{failf(oracle,
-				"%d leader changes at the permanent candidates in the 2nd half (tolerance %d): churn keeps stealing leadership",
-				second, churnTolerance)}
-		}
-		return []Verdict{okf(oracle, "%d leader changes in the 2nd half despite churn every %d steps", second, period)}
-	}
-	return check, nil
-}
-
-// buildElectorDef5 deploys one pluggable elector through the elector seam
-// — the same Builder contract the composition root consumes — with process
-// 0 a permanent *non*-candidate and the rest permanent candidates, and
-// checks Definition 5 over the run's second half. This is the bake-off's
-// conformance oracle: the paper's two constructions and the two imported
-// competitors (nerio, reputation) all face the same check, and the ablated
-// variants (NoDepose, NoPenalty) are the negative controls proving it has
-// teeth. The premises mirror buildOmegaDef5: every process suffix-timely,
-// leader outputs stabilized before the window.
-func buildElectorDef5(k *sim.Kernel, env *Env, builder elector.Builder) (Check, error) {
-	el, err := builder.Build(deploy.Sim(k), elector.Config{})
-	if err != nil {
-		return nil, err
-	}
-	insts := el.Instances()
-	rec := omega.NewRecorder(insts)
-	obs := omega.NewObserver(insts)
-	k.AfterStep(rec.Sample)
-	k.AfterStep(obs.Sample)
-	for _, inst := range insts[1:] { // process 0 stays an Ncandidate
-		inst.Candidate.Set(true)
-	}
-	env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
-	half := env.Steps / 2
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "elector-def5"
-		suffix := suffixReport(k, half)
-		if !allTimely(suffix, allProcs(k.N()), def5TimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)}
-		}
-		if obs.StabilizedAt() > half {
-			return []Verdict{vacuousf(oracle,
-				"%s leader outputs still settling (last change at step %d, window from %d)", el.Name(), obs.StabilizedAt(), half)}
-		}
-		rep := sim.Analyze(k.Trace().Schedule(), k.N())
-		if viols := rec.CheckDefinition5(rep, def5TimelyBound, half, k.Crashed); len(viols) > 0 {
-			return []Verdict{failf(oracle, "%s: %s", el.Name(), strings.Join(viols, "; "))}
-		}
-		return []Verdict{okf(oracle,
-			"%s satisfies Definition 5 over the final %d steps (stabilized at %d)", el.Name(), half, obs.StabilizedAt())}
-	}
-	return check, nil
-}
-
-// buildElectorChurn runs one pluggable elector through the A2 scenario —
-// process 0 toggling candidacy forever — and asserts leadership at the two
-// permanent candidates stops reacting to the churn. The sound reputation
-// elector passes because its self-punishment rule prices re-entries; the
-// NoPenalty ablation leaves every score at 0, so the lowest-id process
-// steals leadership on every re-entry and the oracle fails.
-func buildElectorChurn(k *sim.Kernel, env *Env, builder elector.Builder) (Check, error) {
-	el, err := builder.Build(deploy.Sim(k), elector.Config{})
-	if err != nil {
-		return nil, err
-	}
-	insts := el.Instances()
-	obs := omega.NewObserver(insts[1:]) // the permanent candidates
-	k.AfterStep(obs.Sample)
-	for _, inst := range insts {
-		inst.Candidate.Set(true)
-	}
-	env.RecordState(func() string { return fmt.Sprint(obs.Leaders()) })
-	period := env.Steps / 30
-	if period < 2_000 {
-		period = 2_000
-	}
-	half := env.Steps / 2
-	var firstHalf int64
-	k.AfterStep(func(step int64) {
-		if step%period == 0 {
-			inst := insts[0]
-			inst.Candidate.Set(!inst.Candidate.Get())
-		}
-		if step == half {
-			firstHalf = obs.Changes()
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "elector-churn-stability"
-		if res.Steps < churnMinSteps {
-			return []Verdict{vacuousf(oracle,
-				"budget %d below the %d the %s elector needs to adapt", res.Steps, churnMinSteps, el.Name())}
-		}
-		suffix := suffixReport(k, half)
-		if !allTimely(suffix, allProcs(k.N()), def5TimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"not all processes are suffix-timely within %d (bounds %v)", def5TimelyBound, suffix.Bound)}
-		}
-		second := obs.Changes() - firstHalf
-		if second > churnTolerance {
-			return []Verdict{failf(oracle,
-				"%s: %d leader changes at the permanent candidates in the 2nd half (tolerance %d): churn keeps stealing leadership",
-				el.Name(), second, churnTolerance)}
-		}
-		return []Verdict{okf(oracle,
-			"%s: %d leader changes in the 2nd half despite churn every %d steps", el.Name(), second, period)}
-	}
-	return check, nil
-}
-
-// slowSenderAvail makes process 0 (the heartbeat sender) available only in
-// 1-step bursts with geometrically growing gaps — correct but so slow that
-// every register write spans a whole gap.
-func slowSenderAvail(env *Env) map[int]sim.Availability {
-	return map[int]sim.Availability{0: sim.GrowingGaps(1, 2_000, 1.3)}
-}
-
-// buildHeartbeat wires the A1 scenario: a pathologically slow sender and a
+// heartbeatRig runs the A1 scenario (exp.HeartbeatRig; the rows restrict
+// process 0 with exp.SlowSender): a pathologically slow sender and a
 // Figure 5 receiver. The oracle asserts the receiver suspects the slow
 // sender for most of the run's second half; the single-register ablation is
 // fooled by aborts and fails it.
-func buildHeartbeat(k *sim.Kernel, env *Env, single bool) (Check, error) {
-	r1 := register.NewAbortableSWSR(k, "Hb1", int64(0), 0, 1)
-	r2 := register.NewAbortableSWSR(k, "Hb2", int64(0), 0, 1)
-	hb, err := omegaab.NewHeartbeat(1, 2,
-		make([]prim.AbortableRegister[int64], 2), make([]prim.AbortableRegister[int64], 2),
-		[]prim.AbortableRegister[int64]{r1, nil}, []prim.AbortableRegister[int64]{r2, nil})
-	if err != nil {
-		return nil, err
-	}
-	if single {
-		hb.AblateSingleRegister()
-	}
-	k.Spawn(0, "sender", func(p prim.Proc) {
-		var c int64
-		for {
-			c++
-			r1.Write(c)
-			if !single { // the naive protocol writes only one register
-				r2.Write(c)
+func heartbeatRig(single bool) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		half := env.Steps / 2
+		probe, err := exp.HeartbeatRig(k, single, half)
+		if err != nil {
+			return nil, err
+		}
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if k.Crashed(1) {
+				return vacuousf("receiver crashed: suffix samples are frozen")
 			}
-		}
-	})
-	var active []bool
-	k.Spawn(1, "receiver", func(p prim.Proc) {
-		for {
-			active = hb.Receive()
-			p.Step()
-		}
-	})
-	var samples, activeSamples int64
-	half := env.Steps / 2
-	k.AfterStep(func(step int64) {
-		if step > half && active != nil {
-			samples++
-			if active[0] {
-				activeSamples++
+			if probe.Samples == 0 {
+				return vacuousf("no suffix samples (receiver never ran past step %d)", half)
 			}
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "hb-suspects-slow-sender"
-		if k.Crashed(1) {
-			return []Verdict{vacuousf(oracle, "receiver crashed: suffix samples are frozen")}
-		}
-		if samples == 0 {
-			return []Verdict{vacuousf(oracle, "no suffix samples (receiver never ran past step %d)", half)}
-		}
-		frac := float64(activeSamples) / float64(samples)
-		if frac > 0.5 {
-			return []Verdict{failf(oracle,
-				"receiver believed the slow sender timely in %.0f%% of %d suffix samples", 100*frac, samples)}
-		}
-		return []Verdict{okf(oracle, "sender suspected in %.0f%% of %d suffix samples", 100*(1-frac), samples)}
+			frac := float64(probe.Active) / float64(probe.Samples)
+			if frac > 0.5 {
+				return failf("receiver believed the slow sender timely in %.0f%% of %d suffix samples", 100*frac, probe.Samples)
+			}
+			return okf("sender suspected in %.0f%% of %d suffix samples", 100*(1-frac), probe.Samples)
+		}}, nil
 	}
-	return check, nil
 }
 
-// buildMessenger wires the A3 scenario: a Figure 4 writer shipping a final
-// value to a reader. The oracle asserts delivery whenever both processes
-// stay timely to the end — which the back-off guarantees and its ablation
-// loses under phase-locked (alternating) schedules.
-func buildMessenger(k *sim.Kernel, env *Env, ablate bool) (Check, error) {
-	reg := register.NewAbortableSWSR(k, "Msg[0,1]", 0, 0, 1)
-	w, err := omegaab.NewMessenger(0, 2,
-		[]prim.AbortableRegister[int]{nil, reg}, make([]prim.AbortableRegister[int], 2), 0)
-	if err != nil {
-		return nil, err
+// messengerRig runs the A3 scenario (exp.MessengerRig): a Figure 4 writer
+// shipping a final value to a reader. The oracle asserts delivery whenever
+// both processes stay timely to the end — which the back-off guarantees and
+// its ablation loses under phase-locked (alternating) schedules.
+func messengerRig(ablate bool) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		msg, err := exp.MessengerRig(k, ablate)
+		if err != nil {
+			return nil, err
+		}
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if res.Steps < messengerMinSteps {
+				return vacuousf("budget %d below the %d the back-off needs to win", res.Steps, messengerMinSteps)
+			}
+			suffix := suffixReport(k, env.Steps*3/4)
+			if !allTimely(suffix, []int{0, 1}, messengerTimelyBound) {
+				return vacuousf("writer/reader not both suffix-timely within %d (bounds %v): delivery not promised",
+					messengerTimelyBound, suffix.Bound)
+			}
+			aborts := msg.Reg.Stats().ReadAborts
+			if msg.Got != exp.MessengerValue {
+				return failf("final value never delivered (reader saw %d after %d steps, %d read aborts)", msg.Got, res.Steps, aborts)
+			}
+			return okf("final value delivered (%d read aborts along the way)", aborts)
+		}}, nil
 	}
-	r, err := omegaab.NewMessenger(1, 2,
-		make([]prim.AbortableRegister[int], 2), []prim.AbortableRegister[int]{reg, nil}, 0)
-	if err != nil {
-		return nil, err
-	}
-	if ablate {
-		r.AblateBackoff()
-	}
-	k.Spawn(0, "writer", func(p prim.Proc) {
-		msg := []int{0, 99}
-		for {
-			w.WriteMsgs(msg)
-			p.Step()
-		}
-	})
-	got := 0
-	k.Spawn(1, "reader", func(p prim.Proc) {
-		for {
-			got = r.ReadMsgs()[0]
-			p.Step()
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "messenger-delivery"
-		if res.Steps < messengerMinSteps {
-			return []Verdict{vacuousf(oracle, "budget %d below the %d the back-off needs to win", res.Steps, messengerMinSteps)}
-		}
-		suffix := suffixReport(k, env.Steps*3/4)
-		if !allTimely(suffix, []int{0, 1}, messengerTimelyBound) {
-			return []Verdict{vacuousf(oracle,
-				"writer/reader not both suffix-timely within %d (bounds %v): delivery not promised", messengerTimelyBound, suffix.Bound)}
-		}
-		if got != 99 {
-			return []Verdict{failf(oracle,
-				"final value never delivered (reader saw %d after %d steps, %d read aborts)", got, res.Steps, reg.Stats().ReadAborts)}
-		}
-		return []Verdict{okf(oracle, "final value delivered (%d read aborts along the way)", reg.Stats().ReadAborts)}
-	}
-	return check, nil
 }
 
-// buildMonitor wires one activity monitor A(0,1) with the monitored process
-// crashing mid-run (the plan generator injects the crash — CrashProc) and
-// checks Definition 9 Property 5b: a crashed process is suspected at most
-// once more.
-func buildMonitor(k *sim.Kernel, env *Env, ablateGate bool) (Check, error) {
-	hbReg := register.NewAtomic(k, "HbRegister[1,0]", int64(-1))
-	m := monitor.NewPair(0, 1, hbReg)
-	if ablateGate {
-		m.AblateFaultGate()
+// monitorRig wires one activity monitor A(0,1) with the monitored process
+// crashing mid-run (the plan generator injects the crash — the rows'
+// MustCrash) and checks Definition 9 Property 5b: a crashed process is
+// suspected at most once more.
+func monitorRig(ablateGate bool) Rig {
+	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
+		hbReg := register.NewAtomic(k, "HbRegister[1,0]", int64(-1))
+		m := monitor.NewPair(0, 1, hbReg)
+		if ablateGate {
+			m.AblateFaultGate()
+		}
+		m.Monitoring.Set(true)
+		m.ActiveFor.Set(true)
+		k.Spawn(1, "monitored", m.MonitoredTask())
+		k.Spawn(0, "monitoring", m.MonitoringTask())
+		var crashSeen bool
+		var cntrAtCrash int64
+		k.AfterStep(func(step int64) {
+			if !crashSeen && k.Crashed(1) {
+				crashSeen = true
+				cntrAtCrash = m.FaultCntr.Get()
+			}
+		})
+		return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
+			if !crashSeen {
+				return vacuousf("the monitored process never crashed in this run")
+			}
+			inc := m.FaultCntr.Get() - cntrAtCrash
+			if inc > 1 {
+				return failf("faultCntr grew by %d after the crash; Definition 9 Property 5b allows at most 1", inc)
+			}
+			return okf("faultCntr grew by %d after the crash", inc)
+		}}, nil
 	}
-	m.Monitoring.Set(true)
-	m.ActiveFor.Set(true)
-	k.Spawn(1, "monitored", m.MonitoredTask())
-	k.Spawn(0, "monitoring", m.MonitoringTask())
-	var crashSeen bool
-	var cntrAtCrash int64
-	k.AfterStep(func(step int64) {
-		if !crashSeen && k.Crashed(1) {
-			crashSeen = true
-			cntrAtCrash = m.FaultCntr.Get()
-		}
-	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "monitor-5b"
-		if !crashSeen {
-			return []Verdict{vacuousf(oracle, "the monitored process never crashed in this run")}
-		}
-		inc := m.FaultCntr.Get() - cntrAtCrash
-		if inc > 1 {
-			return []Verdict{failf(oracle,
-				"faultCntr grew by %d after the crash; Definition 9 Property 5b allows at most 1", inc)}
-		}
-		return []Verdict{okf(oracle, "faultCntr grew by %d after the crash", inc)}
-	}
-	return check, nil
 }
 
-// buildSelftestPanic spawns a task that panics after a seed-derived number
+// selftestPanicRig spawns a task that panics after a seed-derived number
 // of its own steps: the deliberate failure that exercises the kernel-error
-// artifact path (the "no-panic" verdict, stack capture, replay of a
+// artifact path (the noPanicOracle verdict, stack capture, replay of a
 // panicking run).
-func buildSelftestPanic(k *sim.Kernel, env *Env) (Check, error) {
+func selftestPanicRig(k *sim.Kernel, env *Env) ([]Judge, error) {
 	activate := 200 + env.Rand().Int63n(800)
 	k.Spawn(0, "bomb", func(p prim.Proc) {
 		for i := int64(0); ; i++ {
@@ -943,26 +450,15 @@ func buildSelftestPanic(k *sim.Kernel, env *Env) (Check, error) {
 			p.Step()
 		}
 	})
-	check := func(k *sim.Kernel, res sim.RunResult) []Verdict {
-		const oracle = "selftest"
+	return []Judge{func(k *sim.Kernel, res sim.RunResult) Judgement {
 		// The fuse counts the task's own steps, which lag the kernel's step
 		// counter by spawn overhead; the slack keeps budget-boundary runs
 		// vacuous instead of misreported.
 		if res.Steps < activate+16 {
-			return []Verdict{vacuousf(oracle, "budget %d at or below the bomb's %d-step fuse", res.Steps, activate)}
+			return vacuousf("budget %d at or below the bomb's %d-step fuse", res.Steps, activate)
 		}
 		// Reaching here means the kernel ran well past the fuse without the
 		// panic surfacing — a determinism bug worth failing loudly on.
-		return []Verdict{failf(oracle, "the bomb should have fired at step %d but the run finished cleanly", activate)}
-	}
-	return check, nil
-}
-
-// allProcs returns [0, n).
-func allProcs(n int) []int {
-	out := make([]int, n)
-	for p := range out {
-		out[p] = p
-	}
-	return out
+		return failf("the bomb should have fired at step %d but the run finished cleanly", activate)
+	}}, nil
 }

@@ -5,8 +5,6 @@ import (
 
 	"tbwf/internal/monitor"
 	"tbwf/internal/prim"
-	"tbwf/internal/register"
-	"tbwf/internal/sim"
 )
 
 // Deployment is a fully wired Ω∆ over atomic registers on any substrate:
@@ -117,53 +115,6 @@ func (d *Deployment) FaultMatrix() [][]int64 {
 				out[p][q] = m.FaultCntr.Get()
 			}
 		}
-	}
-	return out
-}
-
-// System is a Deployment on the simulation kernel, with concrete register
-// types exposed so tests and experiments can Peek at counter values.
-type System struct {
-	N int
-	// Instances[p] is process p's Ω∆ endpoint.
-	Instances []*Instance
-	// Monitors[p][q] is A(p,q); the diagonal is nil.
-	Monitors [][]*monitor.Pair
-	// CounterReg[q] is the shared CounterRegister[q].
-	CounterReg []*register.Atomic[int64]
-}
-
-// BuildRegisters wires the Figure 2 + Figure 3 stack on a simulation
-// kernel.
-func BuildRegisters(k *sim.Kernel) (*System, error) {
-	d, err := BuildWith(k.N(), k, func(name string, init int64) prim.Register[int64] {
-		return register.NewAtomic(k, name, init)
-	}, BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
-	s := &System{
-		N:          d.N,
-		Instances:  d.Instances,
-		Monitors:   d.Monitors,
-		CounterReg: make([]*register.Atomic[int64], d.N),
-	}
-	for q, r := range d.CounterReg {
-		ar, ok := r.(*register.Atomic[int64])
-		if !ok {
-			return nil, fmt.Errorf("omega: unexpected register type %T", r)
-		}
-		s.CounterReg[q] = ar
-	}
-	return s, nil
-}
-
-// Leaders returns the current leader output of every process. Intended for
-// AfterStep hooks and assertions; it does not consume simulation steps.
-func (s *System) Leaders() []int {
-	out := make([]int, s.N)
-	for p := range out {
-		out[p] = s.Instances[p].Leader.Get()
 	}
 	return out
 }

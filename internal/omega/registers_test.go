@@ -3,13 +3,17 @@ package omega
 import (
 	"testing"
 
+	"tbwf/internal/prim"
+	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
 
 // buildSys wires the Figure 2+3 stack on a kernel and attaches an observer.
-func buildSys(t *testing.T, k *sim.Kernel) (*System, *Observer) {
+func buildSys(t *testing.T, k *sim.Kernel) (*Deployment, *Observer) {
 	t.Helper()
-	sys, err := BuildRegisters(k)
+	sys, err := BuildWith(k.N(), k, func(name string, init int64) prim.Register[int64] {
+		return register.NewAtomic(k, name, init)
+	}, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +149,10 @@ func TestTimelyCandidateWinsOverUntimelyOnes(t *testing.T) {
 	}
 }
 
-func counterValues(sys *System) []int64 {
+func counterValues(sys *Deployment) []int64 {
 	out := make([]int64, sys.N)
 	for q := range out {
-		out[q] = sys.CounterReg[q].Peek()
+		out[q] = sys.CounterReg[q].(*register.Atomic[int64]).Peek()
 	}
 	return out
 }
