@@ -27,6 +27,7 @@ func (p *hookParker) Waker() chan<- struct{} {
 	p.hook()
 	return p.wake
 }
+func (p *hookParker) Linger() time.Duration { return prim.LingerWindow }
 func (p *hookParker) Park() {
 	p.parks++
 	select {

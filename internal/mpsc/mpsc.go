@@ -119,11 +119,12 @@ func (q *Queue[T]) Push(v T) bool {
 //	for empty { p.Step() }
 //
 // so simulated schedules are unchanged. On a Parker the consumer steps for
-// prim.LingerWindow, like every other wait, and then parks, taking no
-// steps until a Push wakes it. A caller that polls for its result with
-// short sleeps also needs the window: a Go process with every P idle
-// rounds each sub-millisecond timer up to 1 ms. The consumer that waits
-// must be the same task for the queue's whole life.
+// the Parker's Linger (prim.LingerWindow on rt), like every other wait,
+// and then parks, taking no steps until a Push wakes it. A caller that
+// polls for its result with short sleeps also needs the window: a Go
+// process with every P idle rounds each sub-millisecond timer up to 1 ms.
+// The consumer that waits must be the same task for the queue's whole
+// life.
 func (q *Queue[T]) Await(p prim.Proc) {
 	pk, parks := p.(prim.Parker)
 	if !parks {
@@ -132,8 +133,9 @@ func (q *Queue[T]) Await(p prim.Proc) {
 		}
 		return
 	}
+	linger := pk.Linger()
 	for start := time.Now(); q.empty(); {
-		if time.Since(start) < prim.LingerWindow {
+		if time.Since(start) < linger {
 			p.Step()
 			continue
 		}

@@ -3,8 +3,8 @@ package net
 // The wire vocabulary of the ABD protocol: every register operation is one
 // or two broadcast phases, each a Request fanned out to the replica nodes
 // and a quorum of Replies collected back. The same structs cross both
-// transports — in-process envelopes on the deterministic fabric, gob
-// frames on TCP — so the protocol code is transport-blind.
+// transports — in-process envelopes on the deterministic fabric, binary
+// frames on TCP (frame.go) — so the protocol code is transport-blind.
 
 // Timestamp orders writes. C is the ABD counter; Tag breaks ties between
 // writes that picked the same counter concurrently (it encodes the writing

@@ -35,14 +35,16 @@
 // network driven by the simulation kernel's scheduler with seeded
 // per-link delays and injectable partition/reorder/duplicate/drop faults
 // (fully replayable by the fuzzer's Plan machinery), and TCP, real
-// sockets with length-prefixed gob frames and per-peer reconnect, so
-// tbwf-serve deploys one replica per OS process.
+// sockets with length-prefixed binary frames, codec state that lives and
+// dies with its connection, and per-peer reconnect, so tbwf-serve deploys
+// one replica per OS process.
 package net
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tbwf/internal/prim"
 )
@@ -131,22 +133,32 @@ func newSubstrate(host hostSub, tr transport, cfg Config) (*Substrate, error) {
 }
 
 // Spawn implements prim.Spawner, filtered to the local process in
-// one-replica-per-OS-process deploys.
+// one-replica-per-OS-process deploys. The task sees the host's Proc: one
+// that cannot park (the simulation kernel under the fabric) is handed over
+// as it is, so simulated schedules are the host's; one that can (rt under
+// TCP) parks without lingering.
 func (s *Substrate) Spawn(proc int, name string, fn func(p prim.Proc)) {
 	if s.only >= 0 && proc != s.only {
 		return
 	}
-	s.host.Spawn(proc, name, func(p prim.Proc) { fn(stepper{p}) })
+	s.host.Spawn(proc, name, func(p prim.Proc) {
+		if pk, ok := p.(prim.Parker); ok {
+			p = eagerParker{p, pk}
+		}
+		fn(p)
+	})
 }
 
-// stepper passes a host task's ID and Step through and nothing else. It
-// keeps prim.Parker from the substrate's tasks, so their local waits stay
-// the spin loops they are on the simulation kernel: parked, a TCP stack's
-// closed-loop rate read 14 to 19 ops/s from one run to the next (every
-// process is a candidate for good and the cores go to gob frames and
-// quorum rounds in no settled order), where the benchmark bounds net-tcp's
-// spread at 0.66 ops/s.
-type stepper struct{ prim.Proc }
+// eagerParker is a host task that parks on an unsatisfied local wait at
+// once. After such a wait a net task runs quorum rounds over sockets, and
+// a task that lingers — stepping through Gosched — keeps every P of the Go
+// runtime busy, which leaves the sockets to sysmon's poll every 10 ms.
+type eagerParker struct {
+	prim.Proc
+	prim.Parker
+}
+
+func (eagerParker) Linger() time.Duration { return 0 }
 
 // N returns the number of processes (= replica nodes).
 func (s *Substrate) N() int { return s.e.n }
@@ -173,7 +185,7 @@ func (s *Substrate) Quorums() (int, int) { return s.e.readQ, s.e.writeQ }
 type pending struct {
 	op      uint64
 	need    int
-	replies map[int]Reply
+	replies []Reply       // at most one per node, in order of arrival
 	ready   chan struct{} // closed when the quorum is complete (TCP park)
 	parks   int64         // fabric park counter, drives retransmits
 }
@@ -217,23 +229,31 @@ func (e *engine) tag(seq uint64) int64 {
 func (e *engine) onReply(r Reply) {
 	e.mu.Lock()
 	p := e.pend[r.Op]
-	if p != nil {
-		if _, dup := p.replies[r.Node]; !dup {
-			p.replies[r.Node] = r
-			if len(p.replies) == p.need {
-				close(p.ready)
-			}
+	if p != nil && !p.heard(r.Node) {
+		p.replies = append(p.replies, r)
+		if len(p.replies) == p.need {
+			close(p.ready)
 		}
 	}
 	e.mu.Unlock()
 }
 
+// heard reports whether node has replied. Callers hold the engine's lock.
+func (p *pending) heard(node int) bool {
+	for i := range p.replies {
+		if p.replies[i].Node == node {
+			return true
+		}
+	}
+	return false
+}
+
 // broadcast runs one phase: fan a request out to every node and park until
 // `need` distinct replies are in, retransmitting to the laggards whenever
 // the transport says the operation has waited long enough.
-func (e *engine) broadcast(reg string, phase uint8, ts Timestamp, val any, need int) map[int]Reply {
+func (e *engine) broadcast(reg string, phase uint8, ts Timestamp, val any, need int) []Reply {
 	op := e.next()
-	p := &pending{op: op, need: need, replies: make(map[int]Reply, e.n), ready: make(chan struct{})}
+	p := &pending{op: op, need: need, replies: make([]Reply, 0, e.n), ready: make(chan struct{})}
 	e.mu.Lock()
 	e.pend[op] = p
 	e.mu.Unlock()
@@ -254,7 +274,7 @@ func (e *engine) broadcast(reg string, phase uint8, ts Timestamp, val any, need 
 		if e.tr.park(p) {
 			for q := 0; q < e.n; q++ {
 				e.mu.Lock()
-				_, have := p.replies[q]
+				have := p.heard(q)
 				e.mu.Unlock()
 				if !have {
 					req.To = q
@@ -268,9 +288,9 @@ func (e *engine) broadcast(reg string, phase uint8, ts Timestamp, val any, need 
 // summarize reduces a read-phase quorum to the freshest (ts, val) pair,
 // and reports whether any replying node held a written value and whether
 // the quorum disagreed on the timestamp (the in-flight-write signal).
-// All reductions are order-independent, so iterating the reply map is
-// deterministic.
-func summarize(reps map[int]Reply) (ts Timestamp, val any, has, disagree bool) {
+// All reductions are order-independent, so the order replies arrived in
+// does not show.
+func summarize(reps []Reply) (ts Timestamp, val any, has, disagree bool) {
 	first := true
 	for _, r := range reps {
 		if r.Has {

@@ -1,13 +1,9 @@
 package net
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	stdnet "net"
-	"reflect"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,36 +14,15 @@ import (
 // The TCP transport: real sockets between one OS process per replica.
 // Each client process keeps one connection per peer node, managed by a
 // writer goroutine that dials with backoff and a reader goroutine that
-// feeds replies back to the engine. Frames are 4-byte big-endian length
-// prefixes followed by a self-contained gob encoding (a fresh
-// encoder/decoder per frame, so reconnects never desynchronize stream
-// state). Loss is embraced rather than masked: a send to a dead, slow, or
-// blocked peer is dropped and the engine's retransmit loop recovers, the
-// same mechanism that rides out partitions on the fabric.
-
-// gobInit registers every concrete type that may cross a register as
-// `any`, from the prim wire-type registry plus the builtins.
-var gobInit sync.Once
-
-func registerGobTypes() {
-	gobInit.Do(func() {
-		seen := map[reflect.Type]bool{}
-		reg := func(v any) {
-			t := reflect.TypeOf(v)
-			if v == nil || seen[t] {
-				return
-			}
-			seen[t] = true
-			gob.Register(v)
-		}
-		for _, v := range []any{int64(0), int(0), false, "", float64(0), Timestamp{}} {
-			reg(v)
-		}
-		for _, v := range prim.WireTypes() {
-			reg(v)
-		}
-	})
-}
+// feeds replies back to the engine. A connection carries length-prefixed
+// binary frames (frame.go) and owns its codec state, which is made when
+// the connection is and dropped with it, so a reconnect starts both sides
+// afresh. Whatever is queued for a peer goes out in one write, and a node
+// answers every request it has already read before it writes the replies;
+// neither side ever waits for more. Loss is embraced rather than masked: a
+// send to a dead, slow, or blocked peer is dropped and the engine's
+// retransmit loop recovers, the same mechanism that rides out partitions
+// on the fabric.
 
 // TCPConfig shapes the TCP transport.
 type TCPConfig struct {
@@ -75,6 +50,10 @@ type TCP struct {
 	blocked  []atomic.Bool
 	sent     atomic.Int64
 	dropped  atomic.Int64
+
+	encMu     sync.Mutex
+	encErr    error // the first value that could not be encoded
+	encFailed int64
 }
 
 // NewTCP builds a net substrate whose transport is real TCP. host drives
@@ -86,7 +65,6 @@ func NewTCP(host interface {
 	prim.Spawner
 	N() int
 }, stopping <-chan struct{}, tcfg TCPConfig, cfg Config) (*Substrate, *TCP, error) {
-	registerGobTypes()
 	if len(tcfg.Peers) != host.N() {
 		return nil, nil, fmt.Errorf("net: %d peers for n=%d", len(tcfg.Peers), host.N())
 	}
@@ -127,9 +105,30 @@ func (t *TCP) Block(node int, blocked bool) {
 	}
 }
 
-// Sent and Dropped report transport telemetry.
+// Sent and Dropped report transport telemetry: requests accepted into a
+// peer's outbox, and requests refused there or lost on the way out.
 func (t *TCP) Sent() int64    { return t.sent.Load() }
 func (t *TCP) Dropped() int64 { return t.dropped.Load() }
+
+// EncodeErrors reports how many requests were dropped because their value
+// could not be encoded, and the first such error. Retransmission cannot
+// recover these — the operation that wrote the value waits for good — so
+// the first one also goes to standard error.
+func (t *TCP) EncodeErrors() (int64, error) {
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	return t.encFailed, t.encErr
+}
+
+func (t *TCP) encodeFailed(err error) {
+	t.dropped.Add(1)
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	if t.encFailed++; t.encErr == nil {
+		t.encErr = err
+		fmt.Fprintf(os.Stderr, "%v; the request is dropped and its operation waits (later ones are only counted)\n", err)
+	}
+}
 
 // send implements transport. TCP cannot attribute the sending task to a
 // process, so Src stays -1 (the same contract that keeps Op.Proc at -1).
@@ -147,11 +146,23 @@ func (t *TCP) send(req Request) {
 	}
 }
 
+// parkTimers recycles park's retransmit timers, one per quorum phase
+// otherwise. A timer in the pool is stopped, so its channel is empty.
+var parkTimers sync.Pool
+
 // park implements transport: wait for the quorum, a retransmit deadline,
 // or shutdown.
 func (t *TCP) park(p *pending) bool {
-	timer := time.NewTimer(t.cfg.RetransmitEvery)
-	defer timer.Stop()
+	timer, _ := parkTimers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(t.cfg.RetransmitEvery)
+	} else {
+		timer.Reset(t.cfg.RetransmitEvery)
+	}
+	defer func() {
+		timer.Stop()
+		parkTimers.Put(timer)
+	}()
 	select {
 	case <-p.ready:
 		return false
@@ -198,27 +209,48 @@ func (t *TCP) pump(node int, conn stdnet.Conn) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		dec := newDecoder(conn)
 		for {
-			var rep Reply
-			if err := readFrame(conn, &rep); err != nil {
+			f, err := dec.next()
+			if err != nil {
 				return
 			}
-			t.e.onReply(rep)
+			t.e.onReply(f.reply())
 		}
 	}()
+	enc := newEncoder()
 	for {
+		var req Request
 		select {
 		case <-t.stopping:
 			return
 		case <-done:
 			return
-		case req := <-t.out[node]:
-			if err := writeFrame(conn, &req); err != nil {
-				// The request is lost with the connection; retransmission
-				// re-issues it once we redial.
-				t.dropped.Add(1)
-				return
+		case req = <-t.out[node]:
+		}
+		// One write per burst: frame what is queued by now and flush when
+		// the outbox is momentarily empty, without waiting for more.
+		framed := int64(0)
+		for {
+			if err := enc.append(req.frame()); err != nil {
+				t.encodeFailed(err)
+			} else {
+				framed++
 			}
+			if len(enc.buf) < burstBytes {
+				select {
+				case req = <-t.out[node]:
+					continue
+				default:
+				}
+			}
+			break
+		}
+		if err := enc.flush(conn); err != nil {
+			// The requests are lost with the connection; retransmission
+			// re-issues them once we redial.
+			t.dropped.Add(framed)
+			return
 		}
 	}
 }
@@ -237,7 +269,6 @@ type NodeServer struct {
 // Addr reports the bound address). Each accepted connection is a
 // request→reply loop: decode a Request frame, Handle it, write the Reply.
 func ListenNode(addr string, node *Node) (*NodeServer, error) {
-	registerGobTypes()
 	ln, err := stdnet.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -293,49 +324,24 @@ func (s *NodeServer) serveConn(conn stdnet.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	dec, enc := newDecoder(conn), newEncoder()
 	for {
-		var req Request
-		if err := readFrame(conn, &req); err != nil {
+		f, err := dec.next()
+		if err != nil {
 			return
 		}
-		rep := s.node.Handle(req)
-		if err := writeFrame(conn, &rep); err != nil {
+		rep := s.node.Handle(f.request())
+		// A reply's value arrived in a request, so it encodes; if it does
+		// not, the client must not wait on a connection that cannot answer.
+		if err := enc.append(rep.frame()); err != nil {
+			return
+		}
+		// One write per burst: answer every request already read first.
+		if dec.buffered() && len(enc.buf) < burstBytes {
+			continue
+		}
+		if err := enc.flush(conn); err != nil {
 			return
 		}
 	}
-}
-
-// writeFrame encodes v with a fresh gob encoder behind a 4-byte
-// big-endian length prefix, written in one Write call.
-func writeFrame(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	_, err := w.Write(b)
-	return err
-}
-
-// maxFrame bounds a frame to keep a corrupt length prefix from forcing a
-// giant allocation.
-const maxFrame = 16 << 20
-
-// readFrame reads one length-prefixed frame and gob-decodes it into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return fmt.Errorf("net: frame length %d out of range", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

@@ -109,6 +109,7 @@ func (p *hookParker) Waker() chan<- struct{} {
 	p.hook()
 	return p.wake
 }
+func (p *hookParker) Linger() time.Duration { return LingerWindow }
 func (p *hookParker) Park() {
 	p.parks++
 	select {

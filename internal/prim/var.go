@@ -46,6 +46,10 @@ type Parker interface {
 	// exactly like any other step. It may return without a hint: callers
 	// re-check their condition.
 	Park()
+	// Linger is how long the task keeps stepping on an unsatisfied wait
+	// before it parks: LingerWindow on the real-time runtime, zero for a
+	// task of the net substrate hosted there (see LingerWindow).
+	Linger() time.Duration
 }
 
 // IsTrue is the Await predicate of the paper's "while x = false do skip".
@@ -118,6 +122,13 @@ func (x *Var[T]) Set(v T) {
 // any window, the parent's included, so the window also has to hold the
 // rate where 7 % of it fits the bound. The window is wall-clock: a step
 // count never runs out among ~80 runnable tasks.
+//
+// The window is the runtime's, not every Parker's (Parker.Linger). A task
+// of the net substrate parks at once: there a wait is followed by quorum
+// rounds over sockets, a lingering task's Gosched keeps every P busy so
+// the sockets are polled by sysmon alone, and over loopback TCP the
+// window costs half the throughput: 74.8 against 148.6 ops/s over ten
+// seeds (DESIGN.md §15, EXPERIMENTS.md NET-TCP).
 const LingerWindow = 5 * time.Millisecond
 
 // Await is the paper's "while ¬ok(x) do skip": it returns the first value
@@ -131,7 +142,7 @@ const LingerWindow = 5 * time.Millisecond
 //	for !ok(x.Get()) { p.Step() }
 //
 // so simulated schedules are unchanged. On a Parker the task takes the
-// same steps for LingerWindow and then parks: the skip steps — which
+// same steps for its Linger and then parks: the skip steps — which
 // change no state and touch no register, and so are unobservable in the
 // paper's model — are not taken at all until a Set makes ok true. The
 // predicate is re-checked under the lock before every park, so a Set
@@ -139,6 +150,10 @@ const LingerWindow = 5 * time.Millisecond
 // and Await loops on it.
 func (x *Var[T]) Await(p Proc, ok func(T) bool) T {
 	pk, parks := p.(Parker)
+	var linger time.Duration
+	if parks {
+		linger = pk.Linger()
+	}
 	var start time.Time
 	for {
 		v := x.Get()
@@ -149,7 +164,7 @@ func (x *Var[T]) Await(p Proc, ok func(T) bool) T {
 			if start.IsZero() {
 				start = time.Now()
 			}
-			if time.Since(start) >= LingerWindow {
+			if time.Since(start) >= linger {
 				x.park(pk, ok)
 				continue
 			}

@@ -3,11 +3,12 @@ package prim
 import "sync"
 
 // The wire-type registry: substrates that serialize register values (the
-// net substrate's TCP transport encodes them with gob) need every
+// net substrate's TCP transport encodes structs with gob) need every
 // concrete type that crosses a register as `any`. Packages that define
-// such types register a zero value from init(); the transport drains the
-// registry once at startup. This keeps prim dependency-free while letting
-// the concrete-type knowledge live with the types themselves.
+// such types register a zero value from init(); the transport takes in
+// what the registry has gained whenever it meets a value it cannot send
+// inline. This keeps prim dependency-free while letting the concrete-type
+// knowledge live with the types themselves.
 
 var (
 	wireMu    sync.Mutex
@@ -22,9 +23,10 @@ func RegisterWireType(v any) {
 	wireMu.Unlock()
 }
 
-// WireTypes returns a snapshot of all registered wire types.
-func WireTypes() []any {
+// WireTypesFrom returns the wire types registered after the first n, in
+// registration order: a consumer that has taken n in asks for the rest.
+func WireTypesFrom(n int) []any {
 	wireMu.Lock()
 	defer wireMu.Unlock()
-	return append([]any(nil), wireTypes...)
+	return append([]any(nil), wireTypes[n:]...)
 }

@@ -322,6 +322,7 @@ type proc struct {
 func (p proc) ID() int                { return p.id }
 func (p proc) Step()                  { p.gate.pace() }
 func (p proc) Waker() chan<- struct{} { return p.wake }
+func (p proc) Linger() time.Duration  { return prim.LingerWindow }
 func (p proc) Park() {
 	p.gate.park(p.wake)
 	p.gate.pace()

@@ -143,11 +143,16 @@ type ShardMetrics struct {
 // NetMetrics is the net substrate's slice of the report: the effective
 // quorum sizes and the transport's send/drop counters (drops count dead,
 // blocked, and backpressured peers; retransmission recovers them).
+// EncodeErrors counts requests dropped because their value could not be
+// encoded — retransmission does not recover those, the operation waits
+// for good — and EncodeError is the first such error.
 type NetMetrics struct {
-	ReadQuorum  int   `json:"read_quorum"`
-	WriteQuorum int   `json:"write_quorum"`
-	Sent        int64 `json:"sent"`
-	Dropped     int64 `json:"dropped"`
+	ReadQuorum   int    `json:"read_quorum"`
+	WriteQuorum  int    `json:"write_quorum"`
+	Sent         int64  `json:"sent"`
+	Dropped      int64  `json:"dropped"`
+	EncodeErrors int64  `json:"encode_errors"`
+	EncodeError  string `json:"encode_error,omitempty"`
 }
 
 // ProcessMetrics is one replica's slice of the report.
@@ -297,6 +302,10 @@ func (s *Server) report() MetricsReport {
 			WriteQuorum: wq,
 			Sent:        s.tcp.Sent(),
 			Dropped:     s.tcp.Dropped(),
+		}
+		var err error
+		if rep.Net.EncodeErrors, err = s.tcp.EncodeErrors(); err != nil {
+			rep.Net.EncodeError = err.Error()
 		}
 	}
 	for p := 0; p < n; p++ {

@@ -66,6 +66,9 @@ func TestNetSubstrateServes(t *testing.T) {
 	if rep.Net.Sent == 0 {
 		t.Fatal("transport sent no messages while serving quorum operations")
 	}
+	if rep.Net.EncodeErrors != 0 || rep.Net.EncodeError != "" {
+		t.Fatalf("every deployed value type is registered, yet the transport could not encode: %+v", rep.Net)
+	}
 }
 
 // /v1/netfault blocks one replica link live: with a majority still
