@@ -22,21 +22,8 @@ import (
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
 	"tbwf/internal/register"
-	"tbwf/internal/rtbench"
 	"tbwf/internal/sim"
 )
-
-// hammer spawns per-process tasks invoking Add(1) forever on the stack.
-func hammer(k *sim.Kernel, st *deploy.Stack[int64, objtype.CounterOp, int64]) {
-	for p := 0; p < k.N(); p++ {
-		p := p
-		k.Spawn(p, fmt.Sprintf("client[%d]", p), func(pp prim.Proc) {
-			for {
-				st.Clients[p].Invoke(pp, objtype.CounterOp{Delta: 1})
-			}
-		})
-	}
-}
 
 // BenchmarkE1Degradation: TBWF counter, n=4, k timely processes; metric is
 // mean completed ops per timely process per million steps (the staircase's
@@ -53,11 +40,11 @@ func BenchmarkE1Degradation(b *testing.B) {
 					avail[p] = sim.GrowingGaps(400, int64(600+200*p), 1.5)
 				}
 				kern := sim.New(n, sim.WithSchedule(sim.Restrict(sim.RoundRobin(), avail)), sim.WithScheduleTrace(false))
-				st, err := deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(kern), objtype.Counter{}, deploy.BuildConfig{})
+				st, err := exp.BuildCounterStack(kern, deploy.BuildConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				hammer(kern, st)
+				exp.SpawnHammers(kern, st)
 				if _, err := kern.Run(steps); err != nil {
 					b.Fatal(err)
 				}
@@ -272,11 +259,11 @@ func BenchmarkE7Canonical(b *testing.B) {
 			var shareSum float64
 			for i := 0; i < b.N; i++ {
 				k := sim.New(n, sim.WithScheduleTrace(false))
-				st, err := deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(k), objtype.Counter{}, deploy.BuildConfig{NonCanonical: nonCanonical})
+				st, err := exp.BuildCounterStack(k, deploy.BuildConfig{NonCanonical: nonCanonical})
 				if err != nil {
 					b.Fatal(err)
 				}
-				hammer(k, st)
+				exp.SpawnHammers(k, st)
 				if _, err := k.Run(steps); err != nil {
 					b.Fatal(err)
 				}
@@ -525,16 +512,3 @@ func BenchmarkDeployBuild(b *testing.B) {
 		})
 	}
 }
-
-// The rt hot-path families (internal/rtbench): the gate pacing fast
-// path, the bounded MPSC queue behind the serve and shard workers (with
-// its pre-campaign mutex-ring baseline), the end-to-end zero-alloc
-// invoke path on the live runtime, the Set → wake → Step hand-off of an
-// event wait, and what an unloaded service costs. cmd/tbwf-bench -rt
-// records the same leaves into BENCH_rt.json and gates regressions
-// against it.
-func BenchmarkGatePace(b *testing.B)     { rtbench.RunFamily(b, "GatePace") }
-func BenchmarkServeQueue(b *testing.B)   { rtbench.RunFamily(b, "ServeQueue") }
-func BenchmarkInvokePath(b *testing.B)   { rtbench.RunFamily(b, "InvokePath") }
-func BenchmarkAwaitHandoff(b *testing.B) { rtbench.RunFamily(b, "AwaitHandoff") }
-func BenchmarkIdle(b *testing.B)         { rtbench.RunFamily(b, "Idle") }

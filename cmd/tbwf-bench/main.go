@@ -9,8 +9,9 @@
 //	tbwf-bench -parallel 4    # scenario worker-pool size (0: one per CPU)
 //	tbwf-bench -stats         # report kernel throughput per experiment
 //	tbwf-bench -csv out/      # additionally write one CSV per table
-//	tbwf-bench -json BENCH_4.json  # machine-readable results (see EXPERIMENTS.md)
+//	tbwf-bench -json out.json  # machine-readable results (see EXPERIMENTS.md)
 //	tbwf-bench -list          # list experiments and exit
+//	tbwf-bench -check a.json,b.json  # validate result documents and exit
 //
 // Tables are byte-identical whatever -parallel is; the flag only changes
 // wall-clock time. If any experiment fails the error is printed, the
@@ -48,21 +49,17 @@ func run(args []string) error {
 	csvDir := fs.String("csv", "", "directory to write per-table CSV files into")
 	jsonPath := fs.String("json", "", "write machine-readable results to this JSON file")
 	list := fs.Bool("list", false, "list experiments and exit")
-	checkFrontier := fs.String("check-frontier", "", "validate a tbwf-frontier JSON document (BENCH_frontier.json) and exit")
-	check := fs.String("check", "", "validate committed BENCH_*.json documents (comma-separated paths, schema-sniffed) and exit")
-	rtFlag := fs.Bool("rt", false, "run the rt hot-path benchmarks (internal/rtbench) instead of the simulation experiments")
-	loadReport := fs.String("load-report", "", "with -rt: embed this tbwf-load report's p99 leg into the JSON document")
-	compare := fs.String("compare", "", "re-run the rt benchmarks and fail on regression against this BENCH_rt.json (the CI perf gate)")
+	check := fs.String("check", "", "validate tbwf-bench/v1 and tbwf-frontier/v1 JSON documents (comma-separated paths, schema-sniffed) and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := validateParallel(fs, *parallel); err != nil {
 		return err
 	}
-	if *checkFrontier != "" {
-		return validateFrontierDoc(*checkFrontier)
-	}
 	if *check != "" {
+		if err := validateCheckAlone(fs); err != nil {
+			return err
+		}
 		failed := 0
 		for _, path := range strings.Split(*check, ",") {
 			if err := validateBenchFile(strings.TrimSpace(path)); err != nil {
@@ -72,21 +69,6 @@ func run(args []string) error {
 		}
 		if failed > 0 {
 			return fmt.Errorf("%d document(s) failed validation", failed)
-		}
-		return nil
-	}
-	if *compare != "" {
-		return compareRTDoc(*compare)
-	}
-	if *rtFlag {
-		doc := runRTBenches()
-		if *loadReport != "" {
-			if err := attachLoadReport(&doc, *loadReport); err != nil {
-				return err
-			}
-		}
-		if *jsonPath != "" {
-			return writeRTJSON(*jsonPath, doc)
 		}
 		return nil
 	}
@@ -187,19 +169,73 @@ func validateParallel(fs *flag.FlagSet, parallel int) error {
 	return nil
 }
 
+// validateCheckAlone rejects -check beside any other flag: -check
+// validates and exits, so an experiment flag next to it would be accepted
+// and then silently do nothing.
+func validateCheckAlone(fs *flag.FlagSet) error {
+	var others []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "check" {
+			others = append(others, "-"+f.Name)
+		}
+	})
+	if len(others) > 0 {
+		return fmt.Errorf("-check validates documents and exits; it cannot be combined with %s", strings.Join(others, ", "))
+	}
+	return nil
+}
+
 // benchSchema names the JSON document layout; EXPERIMENTS.md documents it.
 // The frontier sweep's sibling document (BENCH_frontier.json) carries
-// explore.FrontierSchema ("tbwf-frontier/v1") and is validated by
-// -check-frontier.
+// explore.FrontierSchema ("tbwf-frontier/v1"); -check validates both.
 const benchSchema = "tbwf-bench/v1"
 
-// validateFrontierDoc checks a frontier document's schema and internal
-// consistency — the bench-smoke guard for the committed BENCH_frontier.json.
-func validateFrontierDoc(path string) error {
+// validateBenchFile validates one result document by schema sniff.
+func validateBenchFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	switch head.Schema {
+	case benchSchema:
+		return validateBenchDoc(path, data)
+	case explore.FrontierSchema:
+		return validateFrontierDoc(path, data)
+	default:
+		return fmt.Errorf("%s: unknown schema %q", path, head.Schema)
+	}
+}
+
+// validateBenchDoc checks a tbwf-bench/v1 experiment-table document.
+func validateBenchDoc(path string, data []byte) error {
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(doc.Benchmarks) == 0 {
+		return fmt.Errorf("%s: no benchmark entries", path)
+	}
+	for _, e := range doc.Benchmarks {
+		if e.ID == "" || e.Name == "" {
+			return fmt.Errorf("%s: entry with empty id or name", path)
+		}
+		if e.Steps < 0 || e.StepsPerSec < 0 || e.AllocsPerStep < 0 || e.WallSeconds < 0 {
+			return fmt.Errorf("%s: entry %s has negative metrics", path, e.ID)
+		}
+	}
+	fmt.Printf("%s: schema %s, %d experiments\n", path, doc.Schema, len(doc.Benchmarks))
+	return nil
+}
+
+// validateFrontierDoc checks a frontier document's schema and internal
+// consistency — the bench-smoke guard for the committed BENCH_frontier.json.
+func validateFrontierDoc(path string, data []byte) error {
 	doc, err := explore.DecodeFrontier(data)
 	if err != nil {
 		return err

@@ -63,11 +63,11 @@ func E1Degradation(cfg E1Config) (*Table, error) {
 			u := cfg.N - k // untimely count, at ids 0..u-1
 			kern := sim.New(cfg.N, sim.WithSchedule(
 				sim.Restrict(sim.RoundRobin(), untimelyGrowing(u))))
-			st, err := buildCounterStack(kern, deploy.BuildConfig{})
+			st, err := BuildCounterStack(kern, deploy.BuildConfig{})
 			if err != nil {
 				return err
 			}
-			spawnHammers(kern, st)
+			SpawnHammers(kern, st)
 			if _, err := kern.Run(cfg.Steps); err != nil {
 				return err
 			}

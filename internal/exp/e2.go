@@ -94,7 +94,7 @@ func E2Baselines(cfg E2Config) (*Table, error) {
 		{
 			name: "tbwf",
 			build: func(k *sim.Kernel) ([]invokerClient, error) {
-				st, err := buildCounterStack(k, deploy.BuildConfig{})
+				st, err := BuildCounterStack(k, deploy.BuildConfig{})
 				if err != nil {
 					return nil, err
 				}

@@ -131,11 +131,11 @@ func E7Canonical(cfg E7Config) (*Table, error) {
 		}
 		scs = append(scs, Scenario{Name: name, Run: func(res *Result) error {
 			k := sim.New(cfg.N)
-			st, err := buildCounterStack(k, deploy.BuildConfig{NonCanonical: nonCanonical})
+			st, err := BuildCounterStack(k, deploy.BuildConfig{NonCanonical: nonCanonical})
 			if err != nil {
 				return err
 			}
-			spawnHammers(k, st)
+			SpawnHammers(k, st)
 			if _, err := k.Run(cfg.Steps); err != nil {
 				return err
 			}

@@ -13,14 +13,14 @@ import (
 // shared fetch-and-add counter.
 type CounterStack = deploy.Stack[int64, objtype.CounterOp, int64]
 
-// buildCounterStack builds a TBWF counter stack on k.
-func buildCounterStack(k *sim.Kernel, cfg deploy.BuildConfig) (*CounterStack, error) {
+// BuildCounterStack builds a TBWF counter stack on k.
+func BuildCounterStack(k *sim.Kernel, cfg deploy.BuildConfig) (*CounterStack, error) {
 	return deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(k), objtype.Counter{}, cfg)
 }
 
-// spawnHammers gives every process a task that invokes Add(1) through its
+// SpawnHammers gives every process a task that invokes Add(1) through its
 // TBWF client forever.
-func spawnHammers(k *sim.Kernel, st *CounterStack) {
+func SpawnHammers(k *sim.Kernel, st *CounterStack) {
 	for p := 0; p < k.N(); p++ {
 		p := p
 		k.Spawn(p, fmt.Sprintf("client[%d]", p), func(pp prim.Proc) {

@@ -181,20 +181,14 @@ func qaCounterRig(corrupt bool) Rig {
 // slots) and TBWF progress (every timely process completes its quota).
 func stackRig(builder elector.Builder, minSteps int64) Rig {
 	return func(k *sim.Kernel, env *Env) ([]Judge, error) {
-		st, err := deploy.Build[int64, objtype.CounterOp, int64](deploy.Sim(k), objtype.Counter{}, deploy.BuildConfig{
+		st, err := exp.BuildCounterStack(k, deploy.BuildConfig{
 			Elector:         builder,
 			RegisterOptions: tapedRegisterOptions(env),
 		})
 		if err != nil {
 			return nil, err
 		}
-		for p := 0; p < k.N(); p++ {
-			k.Spawn(p, fmt.Sprintf("client[%d]", p), func(pp prim.Proc) {
-				for {
-					st.Clients[p].Invoke(pp, objtype.CounterOp{Delta: 1})
-				}
-			})
-		}
+		exp.SpawnHammers(k, st)
 		accounting := func(*sim.Kernel, sim.RunResult) Judgement {
 			var sum int64
 			for _, c := range st.CompletedOps() {

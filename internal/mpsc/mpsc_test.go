@@ -1,6 +1,7 @@
 package mpsc
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -208,5 +209,92 @@ func TestConcurrentBounded(t *testing.T) {
 	wg.Wait()
 	if accepts != 4*perProd {
 		t.Fatalf("accepted %d pushes, want %d (%d rejects)", accepts, 4*perProd, rejects)
+	}
+}
+
+// lane is the entry the shard lanes carry: a small op and the pointer to
+// its in-flight slot, 16 bytes.
+type lane struct {
+	op int64
+	pd *int64
+}
+
+// laneDepth and laneBatch match the shard lanes' default capacity and the
+// worker's PopBatch buffer.
+const (
+	laneDepth = 256
+	laneBatch = 32
+)
+
+// Push and PopBatch copy the item in and out of the ring's own cells: a
+// full batch pushed and drained must not allocate at all.
+func TestPushPopBatchZeroAlloc(t *testing.T) {
+	q := New[lane](laneDepth)
+	batch := make([]lane, laneBatch)
+	var slot, got int64
+	avg := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < laneBatch; i++ {
+			if !q.Push(lane{op: 1, pd: &slot}) {
+				t.Fatal("Push refused on a drained queue")
+			}
+		}
+		for _, it := range batch[:q.PopBatch(batch)] {
+			got += it.op
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a batch of %d Push + one PopBatch allocates %.0f objects, want 0", laneBatch, avg)
+	}
+	if want := int64(1001 * laneBatch); got != want { // AllocsPerRun adds one warm-up run
+		t.Fatalf("drained %d items, want %d", got, want)
+	}
+}
+
+// BenchmarkPushPop moves b.N lane entries from p producers to one consumer
+// draining in batches, the shard worker's shape; ns/op is per item. The
+// spin loops yield so the benchmark still finishes on one P.
+func BenchmarkPushPop(b *testing.B) {
+	for _, producers := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("p=%d", producers), func(b *testing.B) {
+			b.ReportAllocs()
+			q := New[lane](laneDepth)
+			batch := make([]lane, laneBatch)
+			per := max(b.N/producers, 1)
+			total := int64(per * producers)
+			var slot int64
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < per; i++ {
+						for !q.Push(lane{op: 1, pd: &slot}) {
+							runtime.Gosched()
+						}
+					}
+				}()
+			}
+			var got int64
+			b.ResetTimer()
+			close(start)
+			for got < total {
+				n := q.PopBatch(batch)
+				if n == 0 {
+					runtime.Gosched()
+					continue
+				}
+				for i := range batch[:n] {
+					got += batch[i].op
+					batch[i] = lane{}
+				}
+			}
+			b.StopTimer()
+			wg.Wait()
+			if got != total {
+				b.Fatalf("drained %d of %d items", got, total)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tbwf/internal/deploy"
 	"tbwf/internal/objtype"
@@ -27,10 +28,30 @@ import (
 // idle process would pin the reclaim floor and every measured op would
 // construct a fresh slot of registers.
 func TestInvokePathZeroAlloc(t *testing.T) {
+	var got float64
+	st := onWarmInvokePath(t, func(invoke func()) {
+		got = testing.AllocsPerRun(1500, invoke)
+	})
+	t.Logf("steady-state allocs/op = %v (slots materialized=%d, freshly constructed=%d)",
+		got, st.Object.Slots(), st.Object.SlotsAllocated())
+	// Amortized zero: allow the stray allocation a GC cycle or a rare
+	// elector transition may cost across the 1500 measured ops.
+	if got > 0.05 {
+		t.Fatalf("steady-state invoke path allocates %.3f objects/op, want amortized 0", got)
+	}
+}
+
+// onWarmInvokePath builds a two-process counter stack on rt, keeps process
+// 1 invoking as the peer, and runs body as a task of process 0 with an
+// invoke function for its client, after a 400-op warm-up that fills the
+// timer, slot and pending pools, settles the elector and lets the slot
+// store discover it can recycle. It returns the stack once body is done
+// and the runtime has stopped.
+func onWarmInvokePath(tb testing.TB, body func(invoke func())) *deploy.Stack[int64, objtype.CounterOp, int64] {
 	r := rt.New(2, nil)
 	st, err := deploy.Build[int64, objtype.CounterOp, int64](r, objtype.Counter{}, deploy.BuildConfig{})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		tb.Fatalf("Build: %v", err)
 	}
 	var stop atomic.Bool
 	r.Spawn(1, "peer", func(pp prim.Proc) {
@@ -38,29 +59,71 @@ func TestInvokePathZeroAlloc(t *testing.T) {
 			st.Clients[1].Invoke(pp, objtype.CounterOp{Delta: 1})
 		}
 	})
-	res := make(chan float64, 1)
+	done := make(chan struct{})
 	r.Spawn(0, "client", func(pp prim.Proc) {
-		c := st.Clients[0]
-		// Warm-up: fill the timer/slot/pending pools, let the elector
-		// settle, and let the slot store discover it can recycle.
+		defer close(done)
+		invoke := func() { st.Clients[0].Invoke(pp, objtype.CounterOp{Delta: 1}) }
 		for i := 0; i < 400; i++ {
-			c.Invoke(pp, objtype.CounterOp{Delta: 1})
+			invoke()
 		}
-		res <- testing.AllocsPerRun(1500, func() {
-			c.Invoke(pp, objtype.CounterOp{Delta: 1})
-		})
+		body(invoke)
 	})
-	got := <-res
+	<-done
 	stop.Store(true)
 	if err := r.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
+		tb.Fatalf("Stop: %v", err)
 	}
-	t.Logf("steady-state allocs/op = %v (slots materialized=%d, freshly constructed=%d)",
-		got, st.Object.Slots(), st.Object.SlotsAllocated())
-	// Amortized zero: allow the stray allocation a GC cycle or a rare
-	// elector transition may cost across the 1500 measured ops.
-	if got > 0.05 {
-		t.Fatalf("steady-state invoke path allocates %.3f objects/op, want amortized 0", got)
+	return st
+}
+
+// TestAwaitHandoffZeroAlloc: the event wait every leader change and every
+// queued request rides on must not allocate, on either of its paths. Back
+// to back the trips land inside prim.LingerWindow, where the waiter is
+// still stepping; a driver that first lets the peer's window run out finds
+// it enlisted and parked, and Await must have reused the Var's retained
+// waiter slice and the task's own wake channel to get there.
+func TestAwaitHandoffZeroAlloc(t *testing.T) {
+	onHandoff(t, func(r *rt.Runtime, roundTrip func()) {
+		if avg := testing.AllocsPerRun(1000, roundTrip); avg != 0 {
+			t.Errorf("a Set/Await round trip allocates %.0f objects, want 0", avg)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			for r.ProcStats(0).Parked == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			roundTrip()
+		})
+		if avg != 0 {
+			t.Errorf("a round trip that wakes a parked peer allocates %.0f objects, want 0", avg)
+		}
+	})
+}
+
+// onHandoff runs body as a task of a one-process runtime beside a peer
+// task, with a function that makes one there-and-back: each task raises a
+// flag for the other and waits in Await for the other's Set.
+func onHandoff(tb testing.TB, body func(r *rt.Runtime, roundTrip func())) {
+	r := rt.New(1, nil)
+	ping, pong := prim.NewVar(false), prim.NewVar(false)
+	r.Spawn(0, "pong", func(pp prim.Proc) {
+		for {
+			ping.Await(pp, prim.IsTrue)
+			ping.Set(false)
+			pong.Set(true)
+		}
+	})
+	done := make(chan struct{})
+	r.Spawn(0, "ping", func(pp prim.Proc) {
+		defer close(done)
+		body(r, func() {
+			ping.Set(true)
+			pong.Await(pp, prim.IsTrue)
+			pong.Set(false)
+		})
+	})
+	<-done
+	if err := r.Stop(); err != nil {
+		tb.Fatalf("Stop: %v", err)
 	}
 }
 

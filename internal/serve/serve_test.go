@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"tbwf/internal/prim"
+	"tbwf/internal/rt"
 	"tbwf/internal/shard"
 )
 
@@ -542,4 +544,55 @@ func ExampleParseProfile() {
 	}
 	fmt.Println(gaps)
 	// Output: [1ms 2ms 4ms]
+}
+
+// An unloaded service is quiet: once the tasks of a started three-replica
+// counter backend have used up their linger windows every one of them is
+// parked, and the stack takes no steps at all. The control is one task that
+// spins instead of parking, which the same count must see.
+func TestUnloadedBackendTakesNoSteps(t *testing.T) {
+	const n = 3
+	r := rt.New(n, nil)
+	defer r.Stop()
+	b, err := NewBackend(r, BackendConfig{Object: "counter", DropRaw: true}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	// Start-up steps and the linger windows end with every task parked; on
+	// a loaded host that takes as long as it takes.
+	for p, deadline := 0, time.Now().Add(10*time.Second); p < n; {
+		switch {
+		case r.ProcStats(p).Idle:
+			p++
+		case time.Now().After(deadline):
+			t.Fatalf("process %d still not idle 10s after start: %+v", p, r.ProcStats(p))
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	stepsIn := func(window time.Duration) int64 {
+		total := int64(0)
+		for p := 0; p < n; p++ {
+			total -= r.StepOf(p)
+		}
+		time.Sleep(window)
+		for p := 0; p < n; p++ {
+			total += r.StepOf(p)
+		}
+		return total
+	}
+	if got := stepsIn(200 * time.Millisecond); got != 0 {
+		t.Fatalf("unloaded backend took %d steps in 200ms, want 0 (a task is spinning instead of parked)", got)
+	}
+	r.Spawn(0, "spinner", func(pp prim.Proc) {
+		for {
+			pp.Step()
+		}
+	})
+	got := stepsIn(20 * time.Millisecond)
+	t.Logf("control: one spinning task reads %d steps in 20ms", got)
+	if got == 0 {
+		t.Fatal("control: a spinning task took no steps — the count cannot see one")
+	}
 }
