@@ -80,30 +80,36 @@ func (s stepper) Step()   { s.step() }
 // TestAwaitParkStressRace moves 10⁵ items from 4 producers to one rt task
 // that waits in Await whenever the queue is empty. Each producer waits for
 // its item to be consumed before it pushes the next, and producer 0 aims
-// every parkEvery-th item at the instant the consumer's linger window runs
-// out — a little before to a little after, in 100 ns steps — which is
-// where the consumer takes its last look at the queue and parks. The other
-// producers contend for the ring and are done early; after that nobody
-// else's Push can paper over a wake-up producer 0 lost. Run under -race; a
-// Push missed between the consumer's emptiness check and its park leaves
-// it asleep with work queued, the producer waits on it, and the watchdog
-// fails the test.
+// every parkEvery-th item at the moment the consumer parks, which is just
+// after it takes its last look at the queue. The consumer's countingParker
+// publishes the moment it enters Park. Producer 0 waits for the consumer's
+// next Await, pushes a lag after its start, jittered by up to ±2 µs in
+// 100 ns steps, and then moves the lag 2 µs towards the park: earlier if
+// the consumer parked before the Push, later if the Push came first. So
+// the pushes straddle the park whatever a step costs; aiming at the end of
+// the linger window instead misses under -race, where one step's Gosched
+// can outlast the whole window. The other producers contend for the ring
+// and are done early; after that nobody else's Push can paper over a
+// wake-up producer 0 lost. Run under -race; a Push missed between the
+// consumer's emptiness check and its park leaves it asleep with work
+// queued, the producer waits on it, and the watchdog fails the test.
 func TestAwaitParkStressRace(t *testing.T) {
 	const producers, perProd, parkEvery = 4, 25_000, 50
 	q := New[int](8)
 	r := rt.New(1, nil)
 	defer r.Stop()
-	var consumed, parks, awaitAt atomic.Int64
+	var consumed, parks, awaits, awaitAt, parkAt atomic.Int64
 	acked := make([]atomic.Int64, producers)
 	done := make(chan struct{})
 	r.Spawn(0, "consumer", func(pp prim.Proc) {
 		defer close(done)
-		pp = countingParker{pp, pp.(prim.Parker), &parks}
+		pp = countingParker{pp, pp.(prim.Parker), &parks, &parkAt}
 		buf := make([]int, 4)
 		for consumed.Load() < producers*perProd {
 			n := q.PopBatch(buf)
 			if n == 0 {
 				awaitAt.Store(time.Now().UnixNano())
+				awaits.Add(1)
 				q.Await(pp)
 				continue
 			}
@@ -119,22 +125,44 @@ func TestAwaitParkStressRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sent := int64(1); sent <= perProd; sent++ {
-				if p == 0 && sent%parkEvery == 0 {
-					aim := int64(prim.LingerWindow) + (sent/parkEvery%41-20)*100
-					for time.Now().UnixNano() < awaitAt.Load()+aim {
+			// spin yields until cond holds; false if the test gave up.
+			spin := func(cond func() bool) bool {
+				for !cond() {
+					select {
+					case <-stop:
+						return false
+					default:
 						runtime.Gosched()
 					}
 				}
+				return true
+			}
+			lag := int64(prim.LingerWindow)
+			var mark, start int64 // awaits before the latest Push; the aimed Await's start
+			for sent := int64(1); sent <= perProd; sent++ {
+				aimed := p == 0 && sent%parkEvery == 0
+				if aimed {
+					if !spin(func() bool { return awaits.Load() > mark }) {
+						return
+					}
+					start = awaitAt.Load()
+					aim := start + lag + (sent/parkEvery%41-20)*100
+					if !spin(func() bool { return time.Now().UnixNano() >= aim }) {
+						return
+					}
+				}
+				mark = awaits.Load()
 				for !q.Push(p) {
 					runtime.Gosched()
 				}
-				for acked[p].Load() < sent {
-					select {
-					case <-stop:
-						return
-					default:
-						runtime.Gosched()
+				if !spin(func() bool { return acked[p].Load() >= sent }) {
+					return
+				}
+				if aimed {
+					if parkAt.Load() > start {
+						lag -= 2000
+					} else {
+						lag += 2000
 					}
 				}
 			}
@@ -167,14 +195,16 @@ func TestAwaitParkStressRace(t *testing.T) {
 	}
 }
 
-// countingParker counts the parks of the task it wraps.
+// countingParker counts the parks of the task it wraps and publishes the
+// moment (UnixNano) the latest one began.
 type countingParker struct {
 	prim.Proc
 	prim.Parker
-	parks *atomic.Int64
+	parks, at *atomic.Int64
 }
 
 func (c countingParker) Park() {
 	c.parks.Add(1)
+	c.at.Store(time.Now().UnixNano())
 	c.Parker.Park()
 }

@@ -92,44 +92,46 @@ func (x *Var[T]) Set(v T) {
 }
 
 // LingerWindow is how long a task that can park keeps stepping on an
-// unsatisfied wait (Var.Await, mpsc.Queue.Await) before it does. Within
-// the window a wait is the spin loop it always was, so a process under
-// sustained load never parks and behaves — and measures — exactly as it
-// did before event waits; a process left alone for longer than the window
-// goes quiet. 5 ms is longer than a kv-direct burst period (4 ms) and
-// leaves http-slow1's 6.7 ms arrival gap a millisecond of idleness, so the
-// first never parks under load and the second is always parked when a
-// request arrives.
+// unsatisfied wait (Var.Await, mpsc.Queue.Await) before it does. The steps
+// it takes meanwhile are the paper's skip steps: they change no state and
+// no other process can observe them, so the window buys nothing the
+// algorithm needs and costs CPU. A timely replica that has finished an
+// operation spins out the window on its cores; at 5 ms that was most of
+// http-slow1's 9.8 cpu-ms and 11 200 steps an operation.
 //
-// Measured with bench/run.sh on 2 cores: median, and in brackets the
-// spread of the middle half of six to ten runs (the benchmark refuses a
-// change whose spread exceeds a quarter of the parent's median: 94 ops/s
-// on http-slow1 ops_s, 2.3 ms on kv-direct p99_us; parent: p50 6 579 µs,
-// 378 ops/s [27], p99 9.3 ms). The 2 and 3 ms rows are single runs.
+// One reason keeps the window above zero: a caller that polls for its
+// result with short sleeps (bench's kv-direct drains with 200 µs sleeps).
+// Once the last task parks every P is idle, and Go then rounds each
+// sub-millisecond timer up to 1 ms (netpoll_epoll.go: delay < 1e6 →
+// waitms = 1), so every such poll costs a millisecond. The window has to
+// outlast the poller's sleep: at 100 µs and at 0 kv-direct's setup_s
+// rises by 72 % and 96 %.
 //
-//	window                    http-slow1 p50_us   ops_s         kv-direct p99_us
-//	none (workers 300 µs)     1 080               3 630 [200]   5.4 ms [3.3 ms]
-//	2 ms                      1 358               1 349
-//	3 ms                      1 394               1 181
-//	4 ms                      1 517 [64]          948 [62]      9.6 ms [0.5 ms]
-//	5 ms                      1 577 [130]         791 [25]      10.3 ms [0.3 ms]
+// Measured with bench/run.sh on 2 cores: medians of ten runs per window,
+// the windows alternating seed by seed, and in brackets the spread of the
+// middle half (EXPERIMENTS.md LINGER has every run). 250 µs is the
+// shortest window at which no metric of any workload is worse than at
+// 5 ms by more than the benchmark's bound of a quarter.
 //
-// Parking at once is faster under load but not steady: on an otherwise
-// parked runtime a closed loop's rate follows which of two hand-off
-// regimes the timely replicas have fallen into (1.3 or 6 QA invocations
-// an operation), and one ballot catch-up stall of 20–80 ms decides a run's
-// p99 (DESIGN.md §15). A closed loop's spread is about 7 % of its rate at
-// any window, the parent's included, so the window also has to hold the
-// rate where 7 % of it fits the bound. The window is wall-clock: a step
-// count never runs out among ~80 runnable tasks.
+//	window  http-slow1 cpu_ms/op  p50_us       ops_s        kv-direct setup_s  p99_us
+//	5 ms    9.79 [0.09]           2 309 [282]  847 [38]     0.063 [0.005]      10 576 [982]
+//	1 ms    2.43 [0.11]           1 617 [131]  2 055 [105]  0.046 [0.002]      7 038 [419]
+//	500 µs  1.51 [0.07]           1 229 [79]   2 650 [217]  0.033 [0.005]      7 316 [520]
+//	250 µs  1.10 [0.12]           1 129 [89]   3 124 [343]  0.029 [0.005]      6 466 [1 301]
+//	100 µs  0.78 [0.11]           976 [105]    4 304 [368]  0.108 [0.023]      3 906 [911]
+//	0       0.52 [0.09]           868 [89]     5 917 [595]  0.123 [0.004]      3 457 [649]
+//
+// The window is wall-clock: a step count never runs out among ~80
+// runnable tasks.
 //
 // The window is the runtime's, not every Parker's (Parker.Linger). A task
 // of the net substrate parks at once: there a wait is followed by quorum
-// rounds over sockets, a lingering task's Gosched keeps every P busy so
-// the sockets are polled by sysmon alone, and over loopback TCP the
-// window costs half the throughput: 74.8 against 148.6 ops/s over ten
-// seeds (DESIGN.md §15, EXPERIMENTS.md NET-TCP).
-const LingerWindow = 5 * time.Millisecond
+// rounds over sockets, and a lingering task's Gosched keeps every P busy
+// so that the sockets are polled by sysmon alone. Over loopback TCP a 5 ms
+// window cost half the throughput (74.8 against 148.6 ops/s over ten
+// seeds); a 250 µs one gains nothing and takes 10 % more steps an
+// operation (DESIGN.md §15, EXPERIMENTS.md NET-TCP and LINGER).
+const LingerWindow = 250 * time.Microsecond
 
 // Await is the paper's "while ¬ok(x) do skip": it returns the first value
 // of x it observes that satisfies ok. ok must be a pure function of its

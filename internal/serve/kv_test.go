@@ -31,6 +31,17 @@ func jsonBody(t *testing.T, v any) io.Reader {
 	return bytes.NewReader(b)
 }
 
+// badAdmissions are specs ParseAdmission must refuse; FuzzParseAdmission
+// starts from them and from TestParseAdmission's accepted specs.
+var badAdmissions = []string{
+	"burst=2",           // burst needs a rate
+	"rate=0", "rate=-1", // non-positive rate
+	"rate=abc",   //
+	"inflight=0", //
+	"tokens=5",   // unknown key
+	"rate",       // not key=value
+}
+
 func TestParseAdmission(t *testing.T) {
 	a, err := ParseAdmission("")
 	if err != nil || a.RefillEvery != 0 || a.MaxInFlight != 0 {
@@ -47,14 +58,7 @@ func TestParseAdmission(t *testing.T) {
 	if a, err = ParseAdmission("rate=0.5"); err != nil || a.RefillEvery != int64(2e9) {
 		t.Fatalf("rate=0.5: %+v, %v", a, err)
 	}
-	for _, bad := range []string{
-		"burst=2",           // burst needs a rate
-		"rate=0", "rate=-1", // non-positive rate
-		"rate=abc",   //
-		"inflight=0", //
-		"tokens=5",   // unknown key
-		"rate",       // not key=value
-	} {
+	for _, bad := range badAdmissions {
 		if _, err := ParseAdmission(bad); err == nil {
 			t.Errorf("ParseAdmission(%q) accepted", bad)
 		}

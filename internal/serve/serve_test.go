@@ -14,16 +14,21 @@ import (
 	"tbwf/internal/shard"
 )
 
+// goodProfiles and badProfiles are specs ParseProfile must accept and
+// refuse; FuzzParseProfile starts from them.
+var (
+	goodProfiles = []string{"steady", "steady:100us", "growing:400:2ms:1.5", "growing:1:1ns:1"}
+	badProfiles  = []string{"", "warp", "steady:-1ms", "steady:1ms:2ms", "growing", "growing:0:1ms:2",
+		"growing:10:bogus:2", "growing:10:1ms:0.5", "growing:10:1ms:2:extra"}
+)
+
 func TestParseProfile(t *testing.T) {
-	good := []string{"steady", "steady:100us", "growing:400:2ms:1.5", "growing:1:1ns:1"}
-	for _, spec := range good {
+	for _, spec := range goodProfiles {
 		if _, err := ParseProfile(spec); err != nil {
 			t.Errorf("ParseProfile(%q): %v", spec, err)
 		}
 	}
-	bad := []string{"", "warp", "steady:-1ms", "steady:1ms:2ms", "growing", "growing:0:1ms:2",
-		"growing:10:bogus:2", "growing:10:1ms:0.5", "growing:10:1ms:2:extra"}
-	for _, spec := range bad {
+	for _, spec := range badProfiles {
 		if _, err := ParseProfile(spec); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", spec)
 		}
