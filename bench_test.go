@@ -63,7 +63,7 @@ func BenchmarkE1Degradation(b *testing.B) {
 // degrading system reports ≈1, the boosters ≪1.
 func BenchmarkE2Baselines(b *testing.B) {
 	const n, steps = 3, 1_200_000
-	weak := register.WithAbortPolicy(register.ProbAbort(0.5, 23))
+	weak := prim.WithAbortPolicy(register.ProbAbort(0.5, 23))
 	sched := func() sim.Schedule {
 		return sim.Restrict(sim.Random(17, nil), map[int]sim.Availability{
 			0: sim.GrowingGaps(400, 800, 1.6),
@@ -289,11 +289,11 @@ func BenchmarkE7Canonical(b *testing.B) {
 func BenchmarkE8QAObject(b *testing.B) {
 	type pol struct {
 		name string
-		opts []register.AbOption
+		opts []prim.AbOption
 	}
 	for _, pc := range []pol{
-		{"prob-0.5", []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.5, 42))}},
-		{"prob-0.1", []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.1, 45))}},
+		{"prob-0.5", []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.5, 42))}},
+		{"prob-0.1", []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.1, 45))}},
 	} {
 		b.Run(pc.name, func(b *testing.B) {
 			var calls, done int64

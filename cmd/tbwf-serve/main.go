@@ -9,7 +9,6 @@
 //	tbwf-serve -addr 127.0.0.1:9090 -queue-depth 128
 //	tbwf-serve -elector abortable          # Theorem 15's Ω∆ from abortable registers
 //	tbwf-serve -elector nerio              # epoch/lease elector (bake-off)
-//	tbwf-serve -omega abortable            # legacy alias for -elector
 //	tbwf-serve -n 3 -substrate net         # ABD quorum registers over loopback TCP
 //	tbwf-serve -n 3 -substrate net \
 //	  -net-peers 127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103 -net-node 0
@@ -59,8 +58,7 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		"initial pacing, e.g. '*:steady:10us;2:growing:400:2ms:1.5' (empty: full speed)")
 	queueDepth := fs.Int("queue-depth", 64, "per-replica bounded request queue depth")
 	electorFlag := fs.String("elector", "",
-		fmt.Sprintf("omega implementation: %s (default atomic)", strings.Join(elector.Names(), " | ")))
-	omegaKind := fs.String("omega", "", "legacy alias for -elector")
+		fmt.Sprintf("Ω∆ leader elector: %s (default atomic)", strings.Join(elector.Names(), " | ")))
 	substrate := fs.String("substrate", "rt",
 		"execution substrate: rt | net (net = ABD quorum registers over TCP)")
 	netPeers := fs.String("net-peers", "",
@@ -106,7 +104,6 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		N:          *n,
 		Object:     *object,
 		Elector:    *electorFlag,
-		Omega:      *omegaKind,
 		QueueDepth: *queueDepth,
 		Pacing:     pacing,
 		Substrate:  *substrate,

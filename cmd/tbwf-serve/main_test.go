@@ -16,10 +16,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-n", "1"},
 		{"-object", "nope"},
 		{"-pace", "banana"},
-		{"-pace", "9:steady"}, // target out of range for -n 4
-		{"-omega", "quantum"},
+		{"-pace", "9:steady"},   // target out of range for -n 4
+		{"-omega", "abortable"}, // the old alias of -elector is gone
 		{"-elector", "quantum"},
-		{"-elector", "nerio", "-omega", "abortable"}, // conflicting spellings
+		{"-elector", "atomic-registers"}, // a telemetry name, not a flag value
 		{"-badflag"},
 		{"-substrate", "sim"},                     // the kernel is not a live substrate
 		{"-net-peers", "127.0.0.1:1,127.0.0.1:2"}, // net options without -substrate net
@@ -102,12 +102,12 @@ func TestNetSubstrateServes(t *testing.T) {
 	}
 }
 
-// A bad -omega value must name the accepted vocabulary in the error, so
-// an operator can self-correct without reading the source.
+// A bad Ω∆ elector (-elector) value must name the accepted vocabulary in
+// the error, so an operator can self-correct without reading the source.
 func TestOmegaFlagValidation(t *testing.T) {
-	err := run([]string{"-omega", "quantum"}, nil, nil)
+	err := run([]string{"-elector", "quantum"}, nil, nil)
 	if err == nil {
-		t.Fatal("run accepted -omega quantum")
+		t.Fatal("run accepted -elector quantum")
 	}
 	for _, want := range []string{"quantum", "atomic", "abortable"} {
 		if !strings.Contains(err.Error(), want) {
@@ -250,6 +250,30 @@ func TestShardFlagValidation(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, nil, nil); err == nil {
 			t.Errorf("run(%v) accepted", args)
+		}
+	}
+}
+
+// An empty -shard-elector entry is an error that names its position, not a
+// shard silently deployed with the default elector.
+func TestShardElectorRejectsEmptyEntry(t *testing.T) {
+	for _, list := range []string{"atomic,,nerio", "nerio,", " ,atomic"} {
+		ready := make(chan string, 1)
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-addr", "127.0.0.1:0", "-n", "2", "-shards", "2",
+				"-shard-elector", list}, ready, stop)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "empty") {
+				t.Errorf("-shard-elector %q: err = %v, want an empty-entry error", list, err)
+			}
+		case <-ready:
+			close(stop)
+			<-done
+			t.Errorf("-shard-elector %q accepted", list)
 		}
 	}
 }

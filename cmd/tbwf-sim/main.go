@@ -8,7 +8,6 @@
 //	tbwf-sim -n 4 -steps 3000000 -untimely 1 -elector atomic
 //	tbwf-sim -n 3 -elector abortable -wanted 5
 //	tbwf-sim -n 3 -elector nerio
-//	tbwf-sim -n 3 -omega abortable         # legacy alias for -elector
 //	tbwf-sim -n 3 -crash 1@500000
 //	tbwf-sim -n 3 -substrate net -steps 20000000
 //	                                       # ABD quorum registers on the fabric
@@ -44,8 +43,7 @@ func run(args []string) error {
 	steps := fs.Int64("steps", 3_000_000, "step budget")
 	untimely := fs.Int("untimely", 0, "how many low-id processes are untimely (growing gaps)")
 	electorFlag := fs.String("elector", "",
-		fmt.Sprintf("omega implementation: %s (default atomic)", strings.Join(elector.Names(), " | ")))
-	omegaKind := fs.String("omega", "", "legacy alias for -elector")
+		fmt.Sprintf("Ω∆ leader elector: %s (default atomic)", strings.Join(elector.Names(), " | ")))
 	wanted := fs.Int64("wanted", 0, "ops per process (0 = hammer without target)")
 	crash := fs.String("crash", "", "crash spec proc@step (e.g. 1@500000)")
 	seed := fs.Int64("seed", 0, "random schedule seed (0 = round-robin base)")
@@ -94,7 +92,7 @@ func run(args []string) error {
 		k.CrashAt(proc, at)
 	}
 
-	builder, err := elector.Resolve(*electorFlag, *omegaKind)
+	builder, err := elector.Parse(*electorFlag)
 	if err != nil {
 		return err
 	}

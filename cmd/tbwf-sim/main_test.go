@@ -24,25 +24,17 @@ func TestStatsFlag(t *testing.T) {
 }
 
 func TestAbortableOmega(t *testing.T) {
-	if err := run([]string{"-n", "2", "-steps", "600000", "-omega", "abortable", "-wanted", "1"}); err != nil {
+	if err := run([]string{"-n", "2", "-steps", "600000", "-elector", "abortable", "-wanted", "1"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The -elector flag deploys the imported electors through the same stack,
-// and the legacy -omega spelling still resolves (alias vocabulary).
+// The -elector flag deploys the imported electors through the same stack.
 func TestElectorFlag(t *testing.T) {
 	if err := run([]string{"-n", "3", "-steps", "400000", "-elector", "nerio", "-wanted", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-n", "3", "-steps", "400000", "-elector", "reputation", "-wanted", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-n", "2", "-steps", "100000", "-omega", "atomic-registers", "-wanted", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	// Agreeing spellings coexist; -wanted 0 keeps the run short.
-	if err := run([]string{"-n", "2", "-steps", "100000", "-elector", "atomic", "-omega", "atomic-registers", "-wanted", "0"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,9 +43,9 @@ func TestRejectsBadInputs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "1"},
 		{"-n", "3", "-untimely", "3"},
-		{"-omega", "nope"},
+		{"-omega", "abortable"}, // the old alias of -elector is gone
 		{"-elector", "nope"},
-		{"-elector", "nerio", "-omega", "abortable"}, // conflicting spellings
+		{"-elector", "atomic-registers"}, // a telemetry name, not a flag value
 		{"-crash", "garbage"},
 		{"-crash", "x@y"},
 		{"-n", "3", "-crash", "7@100"},

@@ -13,7 +13,7 @@
 //     registers; internal/objtype — ready-made sequential types;
 //   - internal/sim, internal/rt — the deterministic step-level simulation
 //     kernel and the live goroutine runtime the algorithms run on;
-//   - internal/register — atomic, safe and abortable registers with
+//   - internal/register — atomic and abortable registers with
 //     pluggable abort adversaries;
 //   - internal/baseline, internal/consensus — the boosting baselines the
 //     paper contrasts with, and consensus from abortable registers + Ω;

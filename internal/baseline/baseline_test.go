@@ -45,8 +45,8 @@ func asInvokers[C invoker](cs []C) []invoker {
 
 // weakAdversary is the abort policy used for baseline runs; see the
 // comment in TestBaselinesCompleteWhenAllTimely.
-func weakAdversary() register.AbOption {
-	return register.WithAbortPolicy(register.ProbAbort(0.5, 23))
+func weakAdversary() prim.AbOption {
+	return prim.WithAbortPolicy(register.ProbAbort(0.5, 23))
 }
 
 // untimelySchedule makes process 0 untimely with geometrically growing

@@ -10,7 +10,7 @@ import (
 
 // BuildOF wires an obstruction-free client per substrate process over a
 // fresh query-abortable object.
-func BuildOF[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...register.AbOption) ([]*OFClient[S, O, R], error) {
+func BuildOF[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...prim.AbOption) ([]*OFClient[S, O, R], error) {
 	obj, err := qa.New(typ, sub.N(), qa.SubstrateFactories[O](sub, opts...), 0)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
@@ -29,7 +29,7 @@ func BuildOF[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...regi
 // BuildPanic wires a panic-mode booster client per substrate process: a
 // fresh query-abortable object plus one shared atomic panic register per
 // process.
-func BuildPanic[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...register.AbOption) ([]*PanicClient[S, O, R], error) {
+func BuildPanic[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...prim.AbOption) ([]*PanicClient[S, O, R], error) {
 	obj, err := qa.New(typ, sub.N(), qa.SubstrateFactories[O](sub, opts...), 0)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
@@ -53,7 +53,7 @@ func BuildPanic[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...r
 // BuildAck wires an acknowledgement-round booster client per substrate
 // process — a fresh query-abortable object, the announcement and ack
 // register matrices — and spawns every process's acker task.
-func BuildAck[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...register.AbOption) ([]*AckClient[S, O, R], error) {
+func BuildAck[S, O, R any](sub prim.Substrate, typ qa.Type[S, O, R], opts ...prim.AbOption) ([]*AckClient[S, O, R], error) {
 	obj, err := qa.New(typ, sub.N(), qa.SubstrateFactories[O](sub, opts...), 0)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)

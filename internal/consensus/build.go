@@ -11,16 +11,16 @@ import (
 // SubstrateRegisters returns consensus register factories backed by any
 // substrate's abortable registers (the simulation kernel's concrete typed
 // ones on a sim substrate).
-func SubstrateRegisters[V comparable](sub prim.Substrate, opts ...register.AbOption) Registers[V] {
+func SubstrateRegisters[V comparable](sub prim.Substrate, opts ...prim.AbOption) Registers[V] {
 	return Registers[V]{
 		Ballot: func(name string, writer int) prim.AbortableRegister[int64] {
-			return register.SubstrateAbortable(sub, name, int64(0), append(opts, register.WithRoles(writer, -1))...)
+			return register.SubstrateAbortable(sub, name, int64(0), append(opts, prim.WithRoles(writer, -1))...)
 		},
 		Accept: func(name string, writer int) prim.AbortableRegister[accepted[V]] {
-			return register.SubstrateAbortable(sub, name, accepted[V]{}, append(opts, register.WithRoles(writer, -1))...)
+			return register.SubstrateAbortable(sub, name, accepted[V]{}, append(opts, prim.WithRoles(writer, -1))...)
 		},
 		Msg: func(name string, writer, reader int) prim.AbortableRegister[decision[V]] {
-			return register.SubstrateAbortable(sub, name, decision[V]{}, append(opts, register.WithRoles(writer, reader))...)
+			return register.SubstrateAbortable(sub, name, decision[V]{}, append(opts, prim.WithRoles(writer, reader))...)
 		},
 	}
 }
@@ -29,7 +29,7 @@ func SubstrateRegisters[V comparable](sub prim.Substrate, opts ...register.AbOpt
 // given elector (nil: elector.Abortable, the paper's abortable-registers
 // construction), one consensus instance, and one participant task per
 // process proposing proposals[p] — and spawns everything.
-func Build[V comparable](sub prim.Substrate, proposals []V, builder elector.Builder, opts ...register.AbOption) ([]*Participant[V], error) {
+func Build[V comparable](sub prim.Substrate, proposals []V, builder elector.Builder, opts ...prim.AbOption) ([]*Participant[V], error) {
 	n := sub.N()
 	if len(proposals) != n {
 		return nil, fmt.Errorf("consensus: %d proposals for %d processes", len(proposals), n)

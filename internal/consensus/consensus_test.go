@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tbwf/internal/elector"
+	"tbwf/internal/prim"
 	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
@@ -107,8 +108,8 @@ func TestConsensusSafetySweep(t *testing.T) {
 			k := sim.New(n, sim.WithSchedule(sim.Random(seed, nil)))
 			proposals := props(n)
 			parts, err := Build(register.Substrate(k), proposals, nil,
-				register.WithAbortPolicy(register.ProbAbort(0.7, seed*31)),
-				register.WithEffectPolicy(register.ProbEffect(0.5, seed*17)))
+				prim.WithAbortPolicy(register.ProbAbort(0.7, seed*31)),
+				prim.WithEffectPolicy(register.ProbEffect(0.5, seed*17)))
 			if err != nil {
 				t.Fatal(err)
 			}

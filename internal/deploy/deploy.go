@@ -45,7 +45,7 @@ type BuildConfig struct {
 	// RegisterOptions apply to every abortable register in the stack
 	// (the qa object's, and Ω∆'s when the elector uses abortable
 	// registers).
-	RegisterOptions []register.AbOption
+	RegisterOptions []prim.AbOption
 }
 
 // Stack is a fully wired TBWF object deployment: Ω∆ (its tasks already

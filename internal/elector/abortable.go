@@ -15,7 +15,7 @@ import (
 var Abortable = NewBuilder("abortable", buildAbortable)
 
 func init() {
-	Register(Abortable, "abortable-registers")
+	Register(Abortable)
 }
 
 type abortableElector struct {

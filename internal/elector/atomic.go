@@ -14,9 +14,7 @@ import (
 var Atomic = NewAtomic(AtomicOptions{})
 
 func init() {
-	// "atomic-registers" is the construction's telemetry name; keeping it
-	// as a parse alias lets stored configs round-trip through Parse.
-	Register(Atomic, "atomic-registers")
+	Register(Atomic)
 }
 
 // AtomicOptions selects deliberate ablations of the atomic-registers

@@ -8,8 +8,7 @@
 //
 //   - Builder constructs an elector on any prim.Substrate. Builders are
 //     registered by flag name ("atomic", "abortable", "nerio",
-//     "reputation"); Parse maps the user-facing vocabulary — including the
-//     legacy -omega aliases — onto them.
+//     "reputation"); Parse maps a flag value onto them.
 //   - Elector is a deployed instance: its tasks are already spawned, and it
 //     exposes the uniform telemetry surface every consumer reads — the
 //     per-process endpoints (omega.Instance: candidate_p in, leader_p out),
@@ -86,17 +85,13 @@ func NewBuilder(flagName string, build func(sub prim.Substrate, cfg Config) (Ele
 	return builderFunc{name: flagName, build: build}
 }
 
-// registry maps flag names to builders; aliases maps the legacy -omega
-// vocabulary (and the telemetry names) back onto flag names.
-var (
-	registry = map[string]Builder{}
-	aliases  = map[string]string{}
-)
+// registry maps flag names to builders.
+var registry = map[string]Builder{}
 
 // Register adds a builder to the registry. Registering a duplicate flag
 // name panics: the registry is assembled at init time and a collision is a
 // programming error.
-func Register(b Builder, names ...string) {
+func Register(b Builder) {
 	name := b.FlagName()
 	if name == "" {
 		panic("elector: builder with empty flag name")
@@ -105,15 +100,6 @@ func Register(b Builder, names ...string) {
 		panic(fmt.Sprintf("elector: duplicate builder %q", name))
 	}
 	registry[name] = b
-	for _, a := range names {
-		if a == name {
-			continue
-		}
-		if prev, dup := aliases[a]; dup && prev != name {
-			panic(fmt.Sprintf("elector: alias %q already maps to %q", a, prev))
-		}
-		aliases[a] = name
-	}
 }
 
 // Names returns the registered flag names, sorted.
@@ -135,40 +121,12 @@ func ByName(name string) (Builder, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// Parse maps the user-facing flag vocabulary to a Builder: the canonical
-// names, the registered aliases (the legacy -omega values and telemetry
-// names), and "" for the default (atomic). The error lists the accepted
+// Parse maps a flag value to a Builder: "" is the default (Atomic), any
+// other value must be a registered flag name. The error lists the accepted
 // values.
 func Parse(s string) (Builder, error) {
 	if s == "" {
-		s = "atomic"
-	}
-	if canonical, ok := aliases[s]; ok {
-		s = canonical
+		return Atomic, nil
 	}
 	return ByName(s)
-}
-
-// Resolve maps the -elector flag and the legacy -omega alias flag to one
-// builder. Either may be empty (both empty defaults to atomic); setting
-// both to different electors is an error rather than a silent preference.
-func Resolve(electorFlag, omegaFlag string) (Builder, error) {
-	b, err := Parse(electorFlag)
-	if err != nil {
-		return nil, err
-	}
-	if omegaFlag == "" {
-		return b, nil
-	}
-	legacy, err := Parse(omegaFlag)
-	if err != nil {
-		return nil, err
-	}
-	if electorFlag != "" && legacy.FlagName() != b.FlagName() {
-		return nil, fmt.Errorf("elector: -elector %q conflicts with legacy -omega %q", electorFlag, omegaFlag)
-	}
-	if electorFlag == "" {
-		return legacy, nil
-	}
-	return b, nil
 }

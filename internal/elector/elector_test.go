@@ -28,29 +28,28 @@ func TestNamesCoversTheBakeoffField(t *testing.T) {
 	}
 }
 
-func TestParseResolvesCanonicalAliasAndDefault(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"", "atomic"}, // the default elector
-		{"atomic", "atomic"},
-		{"atomic-registers", "atomic"}, // legacy -omega vocabulary
-		{"abortable", "abortable"},
-		{"abortable-registers", "abortable"},
-		{"nerio", "nerio"},
-		{"nerio-lease", "nerio"},
-		{"reputation", "reputation"},
-		{"reputation-penalty", "reputation"},
-	}
-	for _, tc := range cases {
-		b, err := Parse(tc.in)
+func TestParseResolvesCanonicalNamesAndDefault(t *testing.T) {
+	for in, want := range map[string]string{
+		"":           "atomic", // the default elector
+		"atomic":     "atomic",
+		"abortable":  "abortable",
+		"nerio":      "nerio",
+		"reputation": "reputation",
+	} {
+		b, err := Parse(in)
 		if err != nil {
-			t.Errorf("Parse(%q): %v", tc.in, err)
+			t.Errorf("Parse(%q): %v", in, err)
 			continue
 		}
-		if b.FlagName() != tc.want {
-			t.Errorf("Parse(%q) = %q, want %q", tc.in, b.FlagName(), tc.want)
+		if b.FlagName() != want {
+			t.Errorf("Parse(%q) = %q, want %q", in, b.FlagName(), want)
+		}
+	}
+	// Each elector has one spelling: the telemetry names are not flag
+	// values.
+	for _, in := range []string{"atomic-registers", "abortable-registers", "nerio-lease", "reputation-penalty"} {
+		if _, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) accepted a telemetry name", in)
 		}
 	}
 }
@@ -63,39 +62,6 @@ func TestParseRejectsUnknownWithVocabulary(t *testing.T) {
 	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list %q", err, name)
-		}
-	}
-}
-
-func TestResolveArbitratesElectorAndLegacyOmega(t *testing.T) {
-	cases := []struct {
-		elector, omega string
-		want           string
-		wantErr        bool
-	}{
-		{"", "", "atomic", false},                // both empty: default
-		{"nerio", "", "nerio", false},            // -elector alone
-		{"", "abortable", "abortable", false},    // legacy -omega alone
-		{"nerio", "nerio-lease", "nerio", false}, // agreeing spellings
-		{"nerio", "abortable", "", true},         // conflict is an error
-		{"", "paxos", "", true},                  // unknown legacy value
-		{"bogus", "", "", true},                  // unknown elector value
-		{"atomic", "atomic-registers", "atomic", false},
-	}
-	for _, tc := range cases {
-		b, err := Resolve(tc.elector, tc.omega)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("Resolve(%q, %q) accepted, want error", tc.elector, tc.omega)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("Resolve(%q, %q): %v", tc.elector, tc.omega, err)
-			continue
-		}
-		if b.FlagName() != tc.want {
-			t.Errorf("Resolve(%q, %q) = %q, want %q", tc.elector, tc.omega, b.FlagName(), tc.want)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 var Nerio = NewNerio(NerioOptions{})
 
 func init() {
-	Register(Nerio, "nerio-lease")
+	Register(Nerio)
 }
 
 // nerioInitialPatience is the initial number of observation loops a

@@ -19,7 +19,7 @@ import (
 var Reputation = NewReputation(ReputationOptions{})
 
 func init() {
-	Register(Reputation, "reputation-penalty")
+	Register(Reputation)
 }
 
 // reputationInitialPatience is the initial per-pair number of observation

@@ -76,8 +76,8 @@ func E2Baselines(cfg E2Config) (*Table, error) {
 	// weak is the probabilistic abort adversary the baselines run under.
 	// Constructed per scenario: the policy holds a mutable rng, so sharing
 	// one instance across parallel scenarios would race.
-	weak := func() register.AbOption {
-		return register.WithAbortPolicy(register.ProbAbort(0.5, 23))
+	weak := func() prim.AbOption {
+		return prim.WithAbortPolicy(register.ProbAbort(0.5, 23))
 	}
 
 	type setup struct {

@@ -60,24 +60,24 @@ func E8QAObject(cfg E8Config) (*Table, error) {
 		// opts builds the abort adversary; a factory because the
 		// probabilistic policies hold mutable rngs that must not be shared
 		// across parallel scenarios.
-		opts func() []register.AbOption
+		opts func() []prim.AbOption
 	}
 	policies := []policy{
-		{"always-abort", "no-effect", func() []register.AbOption { return nil }},
-		{"prob-0.9", "no-effect", func() []register.AbOption {
-			return []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.9, 41))}
+		{"always-abort", "no-effect", func() []prim.AbOption { return nil }},
+		{"prob-0.9", "no-effect", func() []prim.AbOption {
+			return []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.9, 41))}
 		}},
-		{"prob-0.5", "no-effect", func() []register.AbOption {
-			return []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.5, 42))}
+		{"prob-0.5", "no-effect", func() []prim.AbOption {
+			return []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.5, 42))}
 		}},
-		{"prob-0.5", "effect-0.5", func() []register.AbOption {
-			return []register.AbOption{
-				register.WithAbortPolicy(register.ProbAbort(0.5, 43)),
-				register.WithEffectPolicy(register.ProbEffect(0.5, 44)),
+		{"prob-0.5", "effect-0.5", func() []prim.AbOption {
+			return []prim.AbOption{
+				prim.WithAbortPolicy(register.ProbAbort(0.5, 43)),
+				prim.WithEffectPolicy(register.ProbEffect(0.5, 44)),
 			}
 		}},
-		{"prob-0.1", "no-effect", func() []register.AbOption {
-			return []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.1, 45))}
+		{"prob-0.1", "no-effect", func() []prim.AbOption {
+			return []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.1, 45))}
 		}},
 	}
 	var scs []Scenario

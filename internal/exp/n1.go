@@ -129,10 +129,7 @@ func N2NetDelaySweep(cfg N2Config) (*Table, error) {
 	if len(cfg.Delays) == 0 {
 		cfg.Delays = []int64{1, 4, 8, 16}
 	}
-	builder, err := elector.Resolve("", "")
-	if err != nil {
-		return nil, err
-	}
+	builder := elector.Atomic
 	t := &Table{
 		ID: "N2",
 		Title: fmt.Sprintf("elector stabilization vs fabric delay: n=%d, %d steps/run, %s Ω∆",

@@ -60,12 +60,12 @@ const (
 // the probabilities come from the target stream, every decision goes through
 // the plan's tape. The abort probability is kept >= 0.5 so contention stays
 // adversarial.
-func tapedRegisterOptions(env *Env) []register.AbOption {
+func tapedRegisterOptions(env *Env) []prim.AbOption {
 	pAbort := 0.5 + 0.5*env.Rand().Float64()
 	pEffect := env.Rand().Float64()
-	return []register.AbOption{
-		register.WithAbortPolicy(register.TapedAbort(pAbort, env.Tape)),
-		register.WithEffectPolicy(register.TapedEffect(pEffect, env.Tape)),
+	return []prim.AbOption{
+		prim.WithAbortPolicy(register.TapedAbort(pAbort, env.Tape)),
+		prim.WithEffectPolicy(register.TapedEffect(pEffect, env.Tape)),
 	}
 }
 

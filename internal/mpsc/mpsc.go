@@ -119,12 +119,9 @@ func (q *Queue[T]) Push(v T) bool {
 //	for empty { p.Step() }
 //
 // so simulated schedules are unchanged. On a Parker the consumer steps for
-// the Parker's Linger (prim.LingerWindow, 250 µs on rt), like every other
-// wait, and then parks, taking no steps until a Push wakes it. The window
-// is there for a caller that polls for its result with short sleeps: once
-// the consumer parks too, a Go process may have every P idle, and then it
-// rounds each sub-millisecond timer up to 1 ms. The consumer that waits
-// must be the same task for the queue's whole life.
+// the Parker's Linger, like every other wait (prim.LingerWindow says why),
+// and then parks, taking no steps until a Push wakes it. The consumer that
+// waits must be the same task for the queue's whole life.
 func (q *Queue[T]) Await(p prim.Proc) {
 	pk, parks := p.(prim.Parker)
 	if !parks {

@@ -32,13 +32,17 @@ type TCPConfig struct {
 	// RetransmitEvery is how long an operation waits for its quorum before
 	// resending to non-responding nodes (default 50ms).
 	RetransmitEvery time.Duration
-	// DialBackoffMax caps the reconnect backoff (default 2s; starts at
-	// 100ms and doubles).
-	DialBackoffMax time.Duration
-	// OutboxDepth bounds each peer's send queue (default 1024); sends
-	// beyond it drop, and retransmission recovers.
-	OutboxDepth int
 }
+
+const (
+	// dialBackoffMin and dialBackoffMax bound the reconnect backoff, which
+	// doubles from the one to the other.
+	dialBackoffMin = 100 * time.Millisecond
+	dialBackoffMax = 2 * time.Second
+	// outboxDepth bounds each peer's send queue; sends beyond it drop, and
+	// retransmission recovers.
+	outboxDepth = 1024
+)
 
 // TCP is the socket transport for a net substrate.
 type TCP struct {
@@ -71,12 +75,6 @@ func NewTCP(host interface {
 	if tcfg.RetransmitEvery <= 0 {
 		tcfg.RetransmitEvery = 50 * time.Millisecond
 	}
-	if tcfg.DialBackoffMax <= 0 {
-		tcfg.DialBackoffMax = 2 * time.Second
-	}
-	if tcfg.OutboxDepth <= 0 {
-		tcfg.OutboxDepth = 1024
-	}
 	t := &TCP{
 		n:        host.N(),
 		stopping: stopping,
@@ -90,7 +88,7 @@ func NewTCP(host interface {
 	}
 	t.e = sub.e
 	for i := range t.out {
-		t.out[i] = make(chan Request, tcfg.OutboxDepth)
+		t.out[i] = make(chan Request, outboxDepth)
 		go t.peerLoop(i)
 	}
 	return sub, t, nil
@@ -177,7 +175,7 @@ func (t *TCP) park(p *pending) bool {
 // peerLoop owns the connection to one peer node: dial with backoff, pump
 // the outbox through it, feed replies back, redial on any error.
 func (t *TCP) peerLoop(node int) {
-	backoff := 100 * time.Millisecond
+	backoff := dialBackoffMin
 	for {
 		select {
 		case <-t.stopping:
@@ -192,12 +190,12 @@ func (t *TCP) peerLoop(node int) {
 			case <-time.After(backoff):
 			}
 			backoff *= 2
-			if backoff > t.cfg.DialBackoffMax {
-				backoff = t.cfg.DialBackoffMax
+			if backoff > dialBackoffMax {
+				backoff = dialBackoffMax
 			}
 			continue
 		}
-		backoff = 100 * time.Millisecond
+		backoff = dialBackoffMin
 		t.pump(node, conn)
 	}
 }

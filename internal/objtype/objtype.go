@@ -1,7 +1,7 @@
 // Package objtype provides sequential type specifications (qa.Type
 // implementations) for the object types used by the examples, tests and
-// benchmarks: counter, read/write/CAS register, test-and-set, FIFO queue,
-// stack, key-value store and integer set.
+// benchmarks: counter, read/write/CAS register, FIFO queue and atomic
+// snapshot.
 //
 // The paper's universal construction works for *any* type T (Theorem 15);
 // these are the types its introduction motivates — ordinary shared objects
@@ -85,20 +85,6 @@ func (Register) Apply(s int64, op RegOp) (int64, RegResp) {
 	}
 }
 
-// TestAndSet is a one-shot test-and-set bit.
-type TestAndSet struct{}
-
-var _ qa.Type[bool, struct{}, bool] = TestAndSet{}
-
-// Init implements qa.Type.
-func (TestAndSet) Init() bool { return false }
-
-// Apply sets the bit and returns its previous value: the first caller gets
-// false (it won), everyone else true.
-func (TestAndSet) Apply(s bool, _ struct{}) (bool, bool) {
-	return true, s
-}
-
 // Queue is a FIFO queue of int64 values.
 type Queue struct{}
 
@@ -135,161 +121,4 @@ func (Queue) Apply(s []int64, op QueueOp) ([]int64, QueueResp) {
 	next := make([]int64, len(s)-1)
 	copy(next, s[1:])
 	return next, QueueResp{V: s[0], Ok: true}
-}
-
-// Stack is a LIFO stack of int64 values.
-type Stack struct{}
-
-var _ qa.Type[[]int64, StackOp, StackResp] = Stack{}
-
-// StackOp pushes V (Push true) or pops (Push false).
-type StackOp struct {
-	Push bool
-	V    int64
-}
-
-// StackResp is a stack operation's response: for pop, the value and
-// whether the stack was non-empty.
-type StackResp struct {
-	V  int64
-	Ok bool
-}
-
-// Init implements qa.Type.
-func (Stack) Init() []int64 { return nil }
-
-// Apply implements qa.Type persistently.
-func (Stack) Apply(s []int64, op StackOp) ([]int64, StackResp) {
-	if op.Push {
-		next := make([]int64, len(s)+1)
-		copy(next, s)
-		next[len(s)] = op.V
-		return next, StackResp{V: op.V, Ok: true}
-	}
-	if len(s) == 0 {
-		return s, StackResp{}
-	}
-	top := s[len(s)-1]
-	next := make([]int64, len(s)-1)
-	copy(next, s[:len(s)-1])
-	return next, StackResp{V: top, Ok: true}
-}
-
-// KVStore is a string-keyed store.
-type KVStore struct{}
-
-var _ qa.Type[map[string]string, KVOp, KVResp] = KVStore{}
-
-// KVOpKind selects a KVStore operation.
-type KVOpKind int
-
-const (
-	// KVGet reads Key.
-	KVGet KVOpKind = iota + 1
-	// KVPut stores Value under Key.
-	KVPut
-	// KVDelete removes Key.
-	KVDelete
-)
-
-// KVOp is one store operation.
-type KVOp struct {
-	Kind  KVOpKind
-	Key   string
-	Value string
-}
-
-// KVResp reports the value previously under the key (Found tells whether
-// there was one).
-type KVResp struct {
-	Value string
-	Found bool
-}
-
-// Init implements qa.Type.
-func (KVStore) Init() map[string]string { return nil }
-
-// Apply implements qa.Type persistently (reads share the map; writes copy
-// it).
-func (KVStore) Apply(s map[string]string, op KVOp) (map[string]string, KVResp) {
-	prev, found := s[op.Key]
-	resp := KVResp{Value: prev, Found: found}
-	switch op.Kind {
-	case KVPut:
-		next := make(map[string]string, len(s)+1)
-		for k, v := range s {
-			next[k] = v
-		}
-		next[op.Key] = op.Value
-		return next, resp
-	case KVDelete:
-		if !found {
-			return s, resp
-		}
-		next := make(map[string]string, len(s))
-		for k, v := range s {
-			if k != op.Key {
-				next[k] = v
-			}
-		}
-		return next, resp
-	default: // KVGet
-		return s, resp
-	}
-}
-
-// IntSet is a set of int64 values.
-type IntSet struct{}
-
-var _ qa.Type[map[int64]struct{}, SetOp, bool] = IntSet{}
-
-// SetOpKind selects an IntSet operation.
-type SetOpKind int
-
-const (
-	// SetAdd inserts V; the response reports whether V was already present.
-	SetAdd SetOpKind = iota + 1
-	// SetRemove deletes V; the response reports whether V was present.
-	SetRemove
-	// SetContains tests V.
-	SetContains
-)
-
-// SetOp is one set operation.
-type SetOp struct {
-	Kind SetOpKind
-	V    int64
-}
-
-// Init implements qa.Type.
-func (IntSet) Init() map[int64]struct{} { return nil }
-
-// Apply implements qa.Type persistently.
-func (IntSet) Apply(s map[int64]struct{}, op SetOp) (map[int64]struct{}, bool) {
-	_, present := s[op.V]
-	switch op.Kind {
-	case SetAdd:
-		if present {
-			return s, true
-		}
-		next := make(map[int64]struct{}, len(s)+1)
-		for k := range s {
-			next[k] = struct{}{}
-		}
-		next[op.V] = struct{}{}
-		return next, false
-	case SetRemove:
-		if !present {
-			return s, false
-		}
-		next := make(map[int64]struct{}, len(s))
-		for k := range s {
-			if k != op.V {
-				next[k] = struct{}{}
-			}
-		}
-		return next, true
-	default: // SetContains
-		return s, present
-	}
 }

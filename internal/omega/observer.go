@@ -1,7 +1,5 @@
 package omega
 
-import "tbwf/internal/prim"
-
 // Observer samples every process's leader output once per simulation step
 // (attach Sample via Kernel.AfterStep) and tracks when the leader vector
 // last changed — the run's stabilization point. It reads the Instances'
@@ -67,14 +65,4 @@ func (o *Observer) AgreedLeader(procs []int) int {
 		}
 	}
 	return leader
-}
-
-// Endpoints is a convenience that extracts the Instances' endpoints as the
-// candidate input variables, for scenario drivers that toggle candidacy.
-func Endpoints(instances []*Instance) []*prim.Var[bool] {
-	out := make([]*prim.Var[bool], len(instances))
-	for i, inst := range instances {
-		out[i] = inst.Candidate
-	}
-	return out
 }

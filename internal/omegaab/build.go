@@ -26,7 +26,7 @@ type System struct {
 // 3·n·(n−1) single-writer single-reader abortable registers plus one main
 // task per process. The register options (abort and effect policies) apply
 // to every register; the default is the strongest adversary.
-func Build(sub prim.Substrate, opts ...register.AbOption) (*System, error) {
+func Build(sub prim.Substrate, opts ...prim.AbOption) (*System, error) {
 	n := sub.N()
 	if n < 2 {
 		return nil, fmt.Errorf("omegaab: substrate has %d processes, need at least 2", n)
@@ -49,7 +49,7 @@ func Build(sub prim.Substrate, opts ...register.AbOption) (*System, error) {
 			if p == q {
 				continue
 			}
-			role := register.WithRoles(p, q)
+			role := prim.WithRoles(p, q)
 			s.MsgRegs[p][q] = register.SubstrateAbortable(sub, fmt.Sprintf("MsgRegister[%d,%d]", p, q), Msg{}, append(opts, role)...)
 			s.Hb1[p][q] = register.SubstrateAbortable(sub, fmt.Sprintf("HbRegister1[%d,%d]", p, q), int64(0), append(opts, role)...)
 			s.Hb2[p][q] = register.SubstrateAbortable(sub, fmt.Sprintf("HbRegister2[%d,%d]", p, q), int64(0), append(opts, role)...)

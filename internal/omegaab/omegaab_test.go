@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"tbwf/internal/omega"
+	"tbwf/internal/prim"
 	"tbwf/internal/register"
 	"tbwf/internal/sim"
 )
 
-func buildSys(t *testing.T, k *sim.Kernel, opts ...register.AbOption) (*System, *omega.Observer) {
+func buildSys(t *testing.T, k *sim.Kernel, opts ...prim.AbOption) (*System, *omega.Observer) {
 	t.Helper()
 	sys, err := Build(register.Substrate(k), opts...)
 	if err != nil {
@@ -148,15 +149,15 @@ func TestAbortableLeaderCrashReelection(t *testing.T) {
 func TestAbortablePolicySweep(t *testing.T) {
 	policies := []struct {
 		name string
-		opts []register.AbOption
+		opts []prim.AbOption
 	}{
-		{"prob-abort-50", []register.AbOption{register.WithAbortPolicy(register.ProbAbort(0.5, 11))}},
-		{"always-abort-effect-always", []register.AbOption{register.WithEffectPolicy(register.AlwaysEffect())}},
-		{"prob-abort-90-effect-50", []register.AbOption{
-			register.WithAbortPolicy(register.ProbAbort(0.9, 12)),
-			register.WithEffectPolicy(register.ProbEffect(0.5, 13)),
+		{"prob-abort-50", []prim.AbOption{prim.WithAbortPolicy(register.ProbAbort(0.5, 11))}},
+		{"always-abort-effect-always", []prim.AbOption{prim.WithEffectPolicy(prim.AlwaysEffect())}},
+		{"prob-abort-90-effect-50", []prim.AbOption{
+			prim.WithAbortPolicy(register.ProbAbort(0.9, 12)),
+			prim.WithEffectPolicy(register.ProbEffect(0.5, 13)),
 		}},
-		{"never-abort", []register.AbOption{register.WithAbortPolicy(register.NeverAbort())}},
+		{"never-abort", []prim.AbOption{prim.WithAbortPolicy(prim.NeverAbort())}},
 	}
 	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,22 +25,6 @@ func TestNewVarInitialValue(t *testing.T) {
 	}
 }
 
-func TestVarSlice(t *testing.T) {
-	s := VarSlice(4, int64(7))
-	if len(s) != 4 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i, v := range s {
-		if v.Get() != 7 {
-			t.Fatalf("slot %d = %d", i, v.Get())
-		}
-	}
-	s[0].Set(1)
-	if s[1].Get() != 7 {
-		t.Fatal("VarSlice slots alias each other")
-	}
-}
-
 func TestVarConcurrentAccess(t *testing.T) {
 	v := NewVar(int64(0))
 	var wg sync.WaitGroup

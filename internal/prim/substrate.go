@@ -76,12 +76,6 @@ func NeverAbort() AbortPolicy {
 	return AbortPolicyFunc(func(Op) bool { return false })
 }
 
-// AbortWrites aborts only contended writes; contended reads succeed.
-// An ablation policy for tests.
-func AbortWrites() AbortPolicy {
-	return AbortPolicyFunc(func(op Op) bool { return op.IsWrite })
-}
-
 // NoEffect makes aborted writes never take effect (default).
 func NoEffect() EffectPolicy {
 	return EffectPolicyFunc(func(Op) bool { return false })

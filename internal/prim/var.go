@@ -107,19 +107,9 @@ func (x *Var[T]) Set(v T) {
 // outlast the poller's sleep: at 100 µs and at 0 kv-direct's setup_s
 // rises by 72 % and 96 %.
 //
-// Measured with bench/run.sh on 2 cores: medians of ten runs per window,
-// the windows alternating seed by seed, and in brackets the spread of the
-// middle half (EXPERIMENTS.md LINGER has every run). 250 µs is the
-// shortest window at which no metric of any workload is worse than at
-// 5 ms by more than the benchmark's bound of a quarter.
-//
-//	window  http-slow1 cpu_ms/op  p50_us       ops_s        kv-direct setup_s  p99_us
-//	5 ms    9.79 [0.09]           2 309 [282]  847 [38]     0.063 [0.005]      10 576 [982]
-//	1 ms    2.43 [0.11]           1 617 [131]  2 055 [105]  0.046 [0.002]      7 038 [419]
-//	500 µs  1.51 [0.07]           1 229 [79]   2 650 [217]  0.033 [0.005]      7 316 [520]
-//	250 µs  1.10 [0.12]           1 129 [89]   3 124 [343]  0.029 [0.005]      6 466 [1 301]
-//	100 µs  0.78 [0.11]           976 [105]    4 304 [368]  0.108 [0.023]      3 906 [911]
-//	0       0.52 [0.09]           868 [89]     5 917 [595]  0.123 [0.004]      3 457 [649]
+// 250 µs is the shortest window at which no metric of any workload is
+// worse than at 5 ms by more than the benchmark's bound of a quarter;
+// EXPERIMENTS.md LINGER has the sweep.
 //
 // The window is wall-clock: a step count never runs out among ~80
 // runnable tasks.
@@ -224,15 +214,4 @@ func (x *Var[T]) delist(wake chan<- struct{}) {
 			return
 		}
 	}
-}
-
-// VarSlice returns a slice of n freshly allocated Vars, each initialized
-// to v. It is a convenience for the paper's per-peer variable vectors such
-// as monitoring_p[q] and active-for_q[p].
-func VarSlice[T any](n int, v T) []*Var[T] {
-	s := make([]*Var[T], n)
-	for i := range s {
-		s[i] = NewVar(v)
-	}
-	return s
 }

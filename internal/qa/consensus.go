@@ -18,12 +18,6 @@ type Desc[O any] struct {
 	Nop  bool
 }
 
-// tag is an operation's identity.
-type tag struct {
-	proc int
-	seq  int64
-}
-
 // Accepted is one acceptor's vote state: the highest ballot at which it
 // accepted a descriptor.
 type Accepted[O any] struct {

@@ -9,6 +9,12 @@ import (
 	"tbwf/internal/sim"
 )
 
+// tag is an operation's identity.
+type tag struct {
+	proc int
+	seq  int64
+}
+
 // counter is a fetch-and-add sequential type (duplicated minimally here to
 // avoid an import cycle with objtype's tests).
 type counter struct{}
@@ -95,7 +101,7 @@ func TestConcurrentFetchAddLinearizes(t *testing.T) {
 	const n, opsEach = 4, 30
 	k := sim.New(n, sim.WithSchedule(sim.Random(5, nil)))
 	so, err := NewSim[int64, int64, int64](k, counter{},
-		register.WithAbortPolicy(register.ProbAbort(0.3, 7)))
+		prim.WithAbortPolicy(register.ProbAbort(0.3, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ type Abortable[T any] struct {
 	k      *sim.Kernel
 	name   string
 	val    T
-	abort  AbortPolicy
-	effect EffectPolicy
+	abort  prim.AbortPolicy
+	effect prim.EffectPolicy
 	writer int // -1 = any
 	reader int // -1 = any
 
@@ -51,7 +51,7 @@ type abOp[T any] struct {
 // NewAbortable creates an abortable register named name with initial value
 // init. Without options it is MWMR with the strongest adversary: every
 // contended operation aborts and aborted writes take no effect.
-func NewAbortable[T any](k *sim.Kernel, name string, init T, opts ...AbOption) *Abortable[T] {
+func NewAbortable[T any](k *sim.Kernel, name string, init T, opts ...prim.AbOption) *Abortable[T] {
 	cfg := prim.ApplyAbOptions(opts...)
 	return &Abortable[T]{
 		k:        k,
@@ -67,8 +67,8 @@ func NewAbortable[T any](k *sim.Kernel, name string, init T, opts ...AbOption) *
 
 // NewAbortableSWSR creates a single-writer single-reader abortable register,
 // the flavor used by the algorithms of Section 6.
-func NewAbortableSWSR[T any](k *sim.Kernel, name string, init T, writer, reader int, opts ...AbOption) *Abortable[T] {
-	return NewAbortable(k, name, init, append(opts, WithRoles(writer, reader))...)
+func NewAbortableSWSR[T any](k *sim.Kernel, name string, init T, writer, reader int, opts ...prim.AbOption) *Abortable[T] {
+	return NewAbortable(k, name, init, append(opts, prim.WithRoles(writer, reader))...)
 }
 
 // Name returns the register's name.
@@ -121,7 +121,7 @@ func (r *Abortable[T]) Write(v T) bool {
 	if aborted {
 		r.k.Metrics().WriteAborts[proc]++
 		r.stats.WriteAborts++
-		if r.effect.TakesEffect(Op{Register: r.name, Proc: proc, IsWrite: true, Step: r.k.Step()}) {
+		if r.effect.TakesEffect(prim.Op{Register: r.name, Proc: proc, IsWrite: true, Step: r.k.Step()}) {
 			r.val = v
 		}
 	} else {
@@ -154,7 +154,7 @@ func (r *Abortable[T]) finish(op *abOp[T], proc int) (aborted bool) {
 	if !op.contended {
 		return false
 	}
-	return r.abort.Abort(Op{Register: r.name, Proc: proc, IsWrite: op.isWrite, Step: r.k.Step()})
+	return r.abort.Abort(prim.Op{Register: r.name, Proc: proc, IsWrite: op.isWrite, Step: r.k.Step()})
 }
 
 // discard cleans up after a crash-interrupted operation: the deferred call
@@ -166,7 +166,7 @@ func (r *Abortable[T]) discard(op *abOp[T]) {
 		return
 	}
 	delete(r.inFlight, r.k.CurrentTask())
-	if op.isWrite && r.effect.TakesEffect(Op{Register: r.name, Proc: r.k.CurrentProc(), IsWrite: true, Step: r.k.Step()}) {
+	if op.isWrite && r.effect.TakesEffect(prim.Op{Register: r.name, Proc: r.k.CurrentProc(), IsWrite: true, Step: r.k.Step()}) {
 		r.val = op.val
 	}
 }

@@ -1,21 +1,19 @@
 // Package register implements the shared registers of the paper's model on
 // top of the simulation kernel (internal/sim): atomic registers (Sections
-// 3 and 5) and abortable registers (Section 6), plus safe registers for the
-// paper's "weaker than safe" comparison.
+// 3 and 5) and abortable registers (Section 6).
 //
 // On the kernel, a register operation spans two steps — invocation and
 // response — so two operations are *concurrent* when their [invoke,
 // response] windows overlap. Abortable registers detect overlap exactly and
-// delegate to an AbortPolicy whether each contended operation aborts, and to
-// an EffectPolicy whether an aborted write takes effect. The defaults are
-// the strongest adversary the specification allows (every contended
-// operation aborts; aborted writes take no effect): the paper's algorithms
-// must work against it, and tests sweep the weaker policies.
+// delegate to a prim.AbortPolicy whether each contended operation aborts,
+// and to a prim.EffectPolicy whether an aborted write takes effect. The
+// defaults are the strongest adversary the specification allows (every
+// contended operation aborts; aborted writes take no effect): the paper's
+// algorithms must work against it, and tests sweep the weaker policies.
 //
-// The policy and option vocabulary itself is substrate-neutral and lives in
-// internal/prim (both the simulation and the real-time registers consume
-// it); this package re-exports it under its historical names and adds the
-// seeded probabilistic policies and the recording Tape.
+// The policy and option vocabulary is substrate-neutral and lives in
+// internal/prim; this package adds the seeded probabilistic policies and
+// the recording Tape.
 package register
 
 import (
@@ -24,64 +22,16 @@ import (
 	"tbwf/internal/prim"
 )
 
-// Op describes one register operation for policy decisions.
-type Op = prim.Op
-
-// AbortPolicy decides whether a contended operation on an abortable
-// register aborts.
-type AbortPolicy = prim.AbortPolicy
-
-// EffectPolicy decides whether an aborted write takes effect.
-type EffectPolicy = prim.EffectPolicy
-
-// AbortPolicyFunc adapts a function to AbortPolicy.
-type AbortPolicyFunc = prim.AbortPolicyFunc
-
-// EffectPolicyFunc adapts a function to EffectPolicy.
-type EffectPolicyFunc = prim.EffectPolicyFunc
-
-// AbOption configures an abortable register on any substrate.
-type AbOption = prim.AbOption
-
-// AlwaysAbort aborts every contended operation: the strongest adversary and
-// the default.
-func AlwaysAbort() AbortPolicy { return prim.AlwaysAbort() }
-
-// NeverAbort never aborts; the abortable register then behaves atomically.
-// Useful as a sanity baseline in tests.
-func NeverAbort() AbortPolicy { return prim.NeverAbort() }
-
-// AbortWrites aborts only contended writes; contended reads succeed.
-// An ablation policy for tests.
-func AbortWrites() AbortPolicy { return prim.AbortWrites() }
-
-// NoEffect makes aborted writes never take effect (default).
-func NoEffect() EffectPolicy { return prim.NoEffect() }
-
-// AlwaysEffect makes aborted writes always take effect.
-func AlwaysEffect() EffectPolicy { return prim.AlwaysEffect() }
-
-// WithAbortPolicy overrides the abort policy (default AlwaysAbort).
-func WithAbortPolicy(p AbortPolicy) AbOption { return prim.WithAbortPolicy(p) }
-
-// WithEffectPolicy overrides the effect policy for aborted writes
-// (default NoEffect).
-func WithEffectPolicy(p EffectPolicy) AbOption { return prim.WithEffectPolicy(p) }
-
-// WithRoles restricts the register to one writer and one reader process
-// (single-writer single-reader), as in Section 6.
-func WithRoles(writer, reader int) AbOption { return prim.WithRoles(writer, reader) }
-
 // ProbAbort aborts each contended operation independently with probability
 // p, using a deterministic seeded source.
-func ProbAbort(p float64, seed int64) AbortPolicy {
+func ProbAbort(p float64, seed int64) prim.AbortPolicy {
 	rng := rand.New(rand.NewSource(seed))
-	return AbortPolicyFunc(func(Op) bool { return rng.Float64() < p })
+	return prim.AbortPolicyFunc(func(prim.Op) bool { return rng.Float64() < p })
 }
 
 // ProbEffect makes each aborted write take effect with probability p, using
 // a deterministic seeded source.
-func ProbEffect(p float64, seed int64) EffectPolicy {
+func ProbEffect(p float64, seed int64) prim.EffectPolicy {
 	rng := rand.New(rand.NewSource(seed))
-	return EffectPolicyFunc(func(Op) bool { return rng.Float64() < p })
+	return prim.EffectPolicyFunc(func(prim.Op) bool { return rng.Float64() < p })
 }

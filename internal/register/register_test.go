@@ -132,7 +132,7 @@ func TestAbortableContendedOpsAbort(t *testing.T) {
 
 func TestAbortableEffectPolicy(t *testing.T) {
 	k := sim.New(2)
-	r := NewAbortable(k, "r", 0, WithEffectPolicy(AlwaysEffect()))
+	r := NewAbortable(k, "r", 0, prim.WithEffectPolicy(prim.AlwaysEffect()))
 	k.Spawn(0, "w", func(p prim.Proc) {
 		for i := 1; ; i++ {
 			r.Write(i)
@@ -154,7 +154,7 @@ func TestAbortableEffectPolicy(t *testing.T) {
 
 func TestAbortableNeverAbortBehavesAtomically(t *testing.T) {
 	k := sim.New(2)
-	r := NewAbortable(k, "r", 0, WithAbortPolicy(NeverAbort()))
+	r := NewAbortable(k, "r", 0, prim.WithAbortPolicy(prim.NeverAbort()))
 	fails := 0
 	k.Spawn(0, "w", func(p prim.Proc) {
 		for i := 1; ; i++ {
@@ -215,58 +215,5 @@ func TestAbortableCrashMidOpStopsInterfering(t *testing.T) {
 	k.Shutdown()
 	if succ == 0 {
 		t.Fatal("reads must succeed once the crashed writer stops interfering")
-	}
-}
-
-func TestSafeReadDuringWriteIsGarbled(t *testing.T) {
-	k := sim.New(2)
-	r := NewSafe(k, "r", 7, 0, func(int) int { return -999 })
-	sawGarbage, sawClean := false, false
-	k.Spawn(0, "w", func(p prim.Proc) {
-		for i := 0; ; i++ {
-			r.Write(7) // value never changes; only overlap matters
-			p.Step()
-		}
-	})
-	k.Spawn(1, "r", func(p prim.Proc) {
-		for {
-			switch r.Read() {
-			case -999:
-				sawGarbage = true
-			case 7:
-				sawClean = true
-			default:
-				t.Error("safe register returned a value that was never garbled nor written")
-			}
-			p.Step()
-		}
-	})
-	if _, err := k.Run(400); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	if !sawGarbage {
-		t.Error("never observed a garbled read despite constant write overlap")
-	}
-	_ = sawClean // overlap pattern may garble everything; that is allowed
-}
-
-func TestSafeWriteAlwaysTakesEffect(t *testing.T) {
-	// The separation the paper leans on: safe writes always take effect;
-	// abortable writes may not.
-	k := sim.New(2)
-	r := NewSafe(k, "r", 0, 0, nil)
-	k.Spawn(0, "w", func(p prim.Proc) { r.Write(42) })
-	k.Spawn(1, "r", func(p prim.Proc) {
-		for {
-			r.Read()
-		}
-	})
-	if _, err := k.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	if r.Peek() != 42 {
-		t.Fatalf("safe write lost: value = %d, want 42", r.Peek())
 	}
 }

@@ -66,7 +66,7 @@ func SubstrateAtomic[T any](sub prim.Substrate, name string, init T) prim.Regist
 
 // SubstrateAbortable creates a typed abortable register on any substrate,
 // with the same sim/rt fast paths as SubstrateAtomic.
-func SubstrateAbortable[T any](sub prim.Substrate, name string, init T, opts ...AbOption) prim.AbortableRegister[T] {
+func SubstrateAbortable[T any](sub prim.Substrate, name string, init T, opts ...prim.AbOption) prim.AbortableRegister[T] {
 	if k, ok := Kernel(sub); ok {
 		return NewAbortable(k, name, init, opts...)
 	}

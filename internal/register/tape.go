@@ -1,6 +1,10 @@
 package register
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"tbwf/internal/prim"
+)
 
 // Tape is a recorded source of policy coin flips: every decision it hands
 // out is appended to a replayable record, and a tape built from a previous
@@ -66,12 +70,12 @@ func (t *Tape) Len() int { return len(t.bits) }
 // TapedAbort aborts each contended operation according to the tape: fresh
 // draws abort with probability p. With p = 1 it behaves like AlwaysAbort
 // while still recording (and replaying) every decision.
-func TapedAbort(p float64, t *Tape) AbortPolicy {
-	return AbortPolicyFunc(func(Op) bool { return t.Bool(p) })
+func TapedAbort(p float64, t *Tape) prim.AbortPolicy {
+	return prim.AbortPolicyFunc(func(prim.Op) bool { return t.Bool(p) })
 }
 
 // TapedEffect makes each aborted write take effect according to the tape:
 // fresh draws take effect with probability p.
-func TapedEffect(p float64, t *Tape) EffectPolicy {
-	return EffectPolicyFunc(func(Op) bool { return t.Bool(p) })
+func TapedEffect(p float64, t *Tape) prim.EffectPolicy {
+	return prim.EffectPolicyFunc(func(prim.Op) bool { return t.Bool(p) })
 }

@@ -1,6 +1,10 @@
 package register
 
-import "testing"
+import (
+	"testing"
+
+	"tbwf/internal/prim"
+)
 
 func TestTapeRecordsAndReplays(t *testing.T) {
 	orig := NewTape(7)
@@ -51,10 +55,10 @@ func TestTapedPolicies(t *testing.T) {
 	tape := NewTape(3)
 	abort := TapedAbort(1, tape)
 	effect := TapedEffect(0, tape)
-	if !abort.Abort(Op{}) {
+	if !abort.Abort(prim.Op{}) {
 		t.Fatal("taped abort with p=1 did not abort")
 	}
-	if effect.TakesEffect(Op{}) {
+	if effect.TakesEffect(prim.Op{}) {
 		t.Fatal("taped effect with p=0 took effect")
 	}
 	if got := tape.Bits(); got != "10" {
@@ -62,10 +66,10 @@ func TestTapedPolicies(t *testing.T) {
 	}
 	// A replayed tape drives the policies identically.
 	rep := ReplayTape(3, tape.Bits())
-	if !TapedAbort(0, rep).Abort(Op{}) {
+	if !TapedAbort(0, rep).Abort(prim.Op{}) {
 		t.Fatal("replayed abort decision lost")
 	}
-	if TapedEffect(1, rep).TakesEffect(Op{}) {
+	if TapedEffect(1, rep).TakesEffect(prim.Op{}) {
 		t.Fatal("replayed effect decision lost")
 	}
 }

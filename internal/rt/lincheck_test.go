@@ -23,7 +23,7 @@ func TestAbortableSuccessfulOpsLinearize(t *testing.T) {
 	const attempts = 14
 	r := rt.New(n, nil)
 	defer r.Stop()
-	reg := rt.NewAbortable(int64(0))
+	reg := prim.NewAbortable(r, "", int64(0))
 
 	var mu sync.Mutex
 	var history []lincheck.Op[objtype.RegOp, objtype.RegResp]

@@ -20,9 +20,6 @@ type Atomic[T any] struct {
 
 var _ prim.Register[int] = (*Atomic[int])(nil)
 
-// NewAtomic creates an unnamed atomic register with initial value init.
-func NewAtomic[T any](init T) *Atomic[T] { return NewNamedAtomic("", init) }
-
 // NewNamedAtomic creates an atomic register named name, so telemetry and
 // traces can attribute its operations on both substrates.
 func NewNamedAtomic[T any](name string, init T) *Atomic[T] {
@@ -87,10 +84,6 @@ type Abortable[T any] struct {
 }
 
 var _ prim.AbortableRegister[int] = (*Abortable[int])(nil)
-
-// NewAbortable creates an unnamed abortable register with initial value
-// init and the default (strongest-adversary) policies.
-func NewAbortable[T any](init T) *Abortable[T] { return NewNamedAbortable("", init) }
 
 // NewNamedAbortable creates an abortable register named name, configured
 // by the same options vocabulary as the simulation substrate's registers.

@@ -13,7 +13,7 @@ import (
 
 func TestAtomicRegisterConcurrent(t *testing.T) {
 	r := rt.New(4, nil)
-	reg := rt.NewAtomic(int64(0))
+	reg := prim.NewRegister(r, "", int64(0))
 	var reads atomic.Int64
 	for p := 0; p < 4; p++ {
 		p := p
@@ -37,7 +37,7 @@ func TestAtomicRegisterConcurrent(t *testing.T) {
 
 func TestAbortableRegisterSoloSucceeds(t *testing.T) {
 	r := rt.New(1, nil)
-	reg := rt.NewAbortable(int64(0))
+	reg := prim.NewAbortable(r, "", int64(0))
 	fails := 0
 	done := make(chan struct{})
 	r.Spawn(0, "w", func(p prim.Proc) {

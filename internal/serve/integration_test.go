@@ -33,11 +33,9 @@ func TestLiveDegradationIntegration(t *testing.T) {
 		t.Skip("integration test")
 	}
 	_, ts := startServer(t, Config{
-		N:               3,
-		Object:          "counter",
-		QueueDepth:      32,
-		SampleEvery:     time.Millisecond,
-		TrajectoryEvery: 10 * time.Millisecond,
+		N:          3,
+		Object:     "counter",
+		QueueDepth: 32,
 	})
 
 	const (

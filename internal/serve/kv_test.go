@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,6 +293,22 @@ func TestKVInFlightCap503(t *testing.T) {
 	}
 	if shed != 1 {
 		t.Fatalf("in-flight sheds %d, want 1", shed)
+	}
+}
+
+// An empty ShardElector entry is an error that names its position: it
+// must not deploy that shard with the default elector.
+func TestShardElectorRejectsEmptyEntry(t *testing.T) {
+	for list, pos := range map[string]string{"atomic,,nerio": "entry 2", "nerio,": "entry 2", ",atomic": "entry 1"} {
+		s, err := New(Config{N: 2, Object: "counter", Shards: 2, ShardElector: list})
+		if err == nil {
+			s.Stop()
+			t.Errorf("ShardElector %q accepted", list)
+			continue
+		}
+		if !strings.Contains(err.Error(), pos) || !strings.Contains(err.Error(), "empty") {
+			t.Errorf("ShardElector %q: error %q does not name the empty %s", list, err, pos)
+		}
 	}
 }
 

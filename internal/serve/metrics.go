@@ -230,18 +230,22 @@ type FaultMetrics struct {
 	Trajectory []telemetry.Sample `json:"trajectory,omitempty"`
 }
 
-// sample runs the low-rate sampler: leader churn at cfg.SampleEvery,
-// trajectory snapshots at cfg.TrajectoryEvery. It owns prev between
+// Sampler periods: leader churn every sampleEvery, a fault/leader
+// trajectory snapshot every trajectoryEvery.
+const (
+	sampleEvery     = 2 * time.Millisecond
+	trajectoryEvery = 100 * time.Millisecond
+)
+
+// sample runs the low-rate sampler: leader churn at sampleEvery,
+// trajectory snapshots at trajectoryEvery. It owns prev between
 // iterations; everything it reads is a lock-free or Var-guarded tap. When
 // the elector maintains no fault matrix the fault trajectory stays empty.
 func (s *Server) sample() {
 	defer close(s.samplerDone)
-	tick := time.NewTicker(s.cfg.SampleEvery)
+	tick := time.NewTicker(sampleEvery)
 	defer tick.Stop()
-	trajEvery := int(s.cfg.TrajectoryEvery / s.cfg.SampleEvery)
-	if trajEvery < 1 {
-		trajEvery = 1
-	}
+	const trajEvery = int(trajectoryEvery / sampleEvery)
 	prev := s.backend.Leaders(0)
 	for i := 0; ; i++ {
 		select {

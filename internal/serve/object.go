@@ -124,9 +124,6 @@ type BackendConfig struct {
 	Object string
 	// QueueDepth bounds each replica's request queue (default 64).
 	QueueDepth int
-	// SnapshotComponents sizes the snapshot object (default: the
-	// substrate's process count).
-	SnapshotComponents int
 	// DropRaw leaves Result.Raw nil. The HTTP path sets it: only the
 	// fuzzer's linearizability oracle reads Raw, and boxing every typed
 	// response into an interface is an allocation per op.
@@ -153,9 +150,6 @@ func NewBackend(sub prim.Substrate, cfg BackendConfig, hooks Hooks) (Backend, er
 	}
 	if cfg.Build.NonCanonical {
 		return nil, errors.New("serve: the request path deploys canonical clients only")
-	}
-	if cfg.SnapshotComponents <= 0 {
-		cfg.SnapshotComponents = sub.N()
 	}
 	lanes := shard.ConfigOf[Result]{
 		Shards:          1,
@@ -319,7 +313,7 @@ func buildRegister(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[R
 }
 
 func buildSnapshot(sub prim.Substrate, cfg BackendConfig, lanes shard.ConfigOf[Result]) (Backend, error) {
-	m := cfg.SnapshotComponents
+	m := sub.N() // one component per process
 	return newBackend(sub, lanes, cfg.DropRaw, qa.Batch(objtype.Snapshot{Components: m}),
 		func(op WireOp) (objtype.SnapOp, error) {
 			switch op.Kind {

@@ -57,18 +57,10 @@ type Config struct {
 	// (epoch/lease) or "reputation" (penalty scores) — any name
 	// elector.Parse accepts.
 	Elector string
-	// Omega is the legacy alias for Elector (the old -omega flag
-	// vocabulary). Setting both to different electors is an error.
-	Omega string
 	// QueueDepth bounds each replica's request queue (default 64).
 	QueueDepth int
-	// SnapshotComponents sizes the snapshot object (default N).
-	SnapshotComponents int
 	// Pacing assigns each process's initial profile (nil: all full speed).
 	Pacing []rt.Profile
-	// SampleEvery is the leader-churn sampling period (default 2ms);
-	// TrajectoryEvery the fault/leader trajectory period (default 100ms).
-	SampleEvery, TrajectoryEvery time.Duration
 	// Substrate selects the execution substrate: "rt" (default; the
 	// in-process shared-memory runtime) or "net" (ABD quorum registers
 	// over TCP, one replica node per process — see internal/net).
@@ -81,8 +73,8 @@ type Config struct {
 	// the same N replicas, served on /v1/kv/*. Only on the rt substrate.
 	Shards int
 	// ShardElector is a comma-separated elector list cycled across shards
-	// (shard s gets entry s mod len); empty inherits Elector/Omega for
-	// every shard. Requires Shards > 0.
+	// (shard s gets entry s mod len); empty inherits Elector for every
+	// shard. An empty entry is an error. Requires Shards > 0.
 	ShardElector string
 	// MaxBatch bounds how many queued keyed ops one worker turn folds into
 	// a single QA round (default 16; 1 disables batching). Requires
@@ -107,10 +99,12 @@ type NetOptions struct {
 	// Listen is the node's listen address in a distributed deploy
 	// (default: the Node entry of Peers).
 	Listen string
-	// RetransmitEvery overrides the quorum retransmit interval (default
-	// 5ms in loopback mode, the transport's 50ms distributed).
-	RetransmitEvery time.Duration
 }
+
+// loopbackRetransmit is the quorum retransmit interval of a loopback
+// deploy: loopback RTTs are microseconds, so it undercuts the transport's
+// distributed default.
+const loopbackRetransmit = 5 * time.Millisecond
 
 // Server is a deployed TBWF object behind an HTTP handler. Create with
 // New, serve via any http.Server (it implements http.Handler), stop with
@@ -151,15 +145,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("serve: n = %d, need at least 2 replicas", cfg.N)
 	}
-	builder, err := elector.Resolve(cfg.Elector, cfg.Omega)
+	builder, err := elector.Parse(cfg.Elector)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 2 * time.Millisecond
-	}
-	if cfg.TrajectoryEvery <= 0 {
-		cfg.TrajectoryEvery = 100 * time.Millisecond
 	}
 	if cfg.Pacing != nil && len(cfg.Pacing) != cfg.N {
 		return nil, fmt.Errorf("serve: %d pacing profiles for %d processes", len(cfg.Pacing), cfg.N)
@@ -184,8 +172,12 @@ func New(cfg Config) (*Server, error) {
 	shardElectors := []elector.Builder{builder}
 	if cfg.ShardElector != "" {
 		shardElectors = shardElectors[:0]
-		for _, name := range strings.Split(cfg.ShardElector, ",") {
-			eb, err := elector.Parse(strings.TrimSpace(name))
+		for i, name := range strings.Split(cfg.ShardElector, ",") {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				return nil, fmt.Errorf("serve: shard elector: entry %d of %q is empty", i+1, cfg.ShardElector)
+			}
+			eb, err := elector.ByName(name)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard elector: %w", err)
 			}
@@ -226,9 +218,8 @@ func New(cfg Config) (*Server, error) {
 	// The hooks close over s; s.metrics is installed before Start spawns
 	// the workers, so no event can fire while it is still nil.
 	b, err := NewBackend(sub, BackendConfig{
-		Object:             cfg.Object,
-		QueueDepth:         cfg.QueueDepth,
-		SnapshotComponents: cfg.SnapshotComponents,
+		Object:     cfg.Object,
+		QueueDepth: cfg.QueueDepth,
 		// Only the fuzzer's linearizability oracle consumes Result.Raw;
 		// the HTTP path drops it to keep the live path boxing-free.
 		DropRaw: true,
@@ -286,7 +277,7 @@ func (s *Server) buildNet() (prim.Substrate, error) {
 	opts := s.cfg.Net
 	peers := opts.Peers
 	ncfg := net.Config{}
-	retransmit := opts.RetransmitEvery
+	var retransmit time.Duration // the transport's default
 	if len(peers) == 0 {
 		for i := 0; i < s.cfg.N; i++ {
 			srv, err := net.ListenNode("127.0.0.1:0", net.NewNode(i))
@@ -296,9 +287,7 @@ func (s *Server) buildNet() (prim.Substrate, error) {
 			s.nodes = append(s.nodes, srv)
 			peers = append(peers, srv.Addr())
 		}
-		if retransmit <= 0 {
-			retransmit = 5 * time.Millisecond // loopback RTTs are microseconds
-		}
+		retransmit = loopbackRetransmit
 	} else {
 		if len(peers) != s.cfg.N {
 			return nil, fmt.Errorf("serve: %d net peers for %d replicas", len(peers), s.cfg.N)

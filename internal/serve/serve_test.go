@@ -81,8 +81,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{N: 3, Object: "philosopher"}); err == nil {
 		t.Error("unknown object accepted")
 	}
-	if _, err := New(Config{N: 3, Object: "counter", Omega: "quantum"}); err == nil {
-		t.Error("unknown omega kind accepted")
+	if _, err := New(Config{N: 3, Object: "counter", Elector: "quantum"}); err == nil {
+		t.Error("unknown elector accepted")
 	}
 	short, err := ParsePacing("", 2)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestInvokeReadStatsCounter(t *testing.T) {
 // operations complete, /v1/stats reports the kind, and the metrics report
 // has no fault matrix (Figures 4–6 have no monitors).
 func TestAbortableOmegaServes(t *testing.T) {
-	s, ts := startServer(t, Config{N: 2, Object: "counter", Omega: "abortable"})
+	s, ts := startServer(t, Config{N: 2, Object: "counter", Elector: "abortable"})
 	for i := 0; i < 3; i++ {
 		code, out := postJSON(t, ts.URL+"/v1/invoke", map[string]any{
 			"replica": -1, "op": map[string]any{"kind": "add", "delta": 1},
@@ -280,22 +280,6 @@ func TestImportedElectorsServe(t *testing.T) {
 	}
 }
 
-// Config.Elector and the legacy Config.Omega arbitrate exactly like the
-// CLI flags: agreement is fine, conflict is a construction error.
-func TestElectorOmegaConfigArbitration(t *testing.T) {
-	s, err := New(Config{N: 2, Object: "counter", Elector: "nerio", Omega: "nerio-lease"})
-	if err != nil {
-		t.Fatalf("agreeing spellings rejected: %v", err)
-	}
-	s.Stop()
-	if _, err := New(Config{N: 2, Object: "counter", Elector: "nerio", Omega: "abortable"}); err == nil {
-		t.Fatal("conflicting elector/omega accepted")
-	}
-	if _, err := New(Config{N: 2, Object: "counter", Elector: "warp"}); err == nil {
-		t.Fatal("unknown elector accepted")
-	}
-}
-
 func TestInvokeValidation(t *testing.T) {
 	_, ts := startServer(t, Config{N: 2, Object: "jobqueue"})
 
@@ -358,7 +342,7 @@ func TestJobQueueFIFO(t *testing.T) {
 }
 
 func TestSnapshotUpdateScan(t *testing.T) {
-	_, ts := startServer(t, Config{N: 2, Object: "snapshot", SnapshotComponents: 3})
+	_, ts := startServer(t, Config{N: 3, Object: "snapshot"}) // one component per replica
 	code, out := postJSON(t, ts.URL+"/v1/invoke", map[string]any{
 		"replica": 0, "op": map[string]any{"kind": "update", "index": 2, "value": 42},
 	})
@@ -423,7 +407,7 @@ func fetchMetrics(t *testing.T, base string) MetricsReport {
 }
 
 func TestMetricsShape(t *testing.T) {
-	_, ts := startServer(t, Config{N: 3, Object: "counter", SampleEvery: time.Millisecond, TrajectoryEvery: 5 * time.Millisecond})
+	_, ts := startServer(t, Config{N: 3, Object: "counter"})
 	for i := 0; i < 6; i++ {
 		code, out := postJSON(t, ts.URL+"/v1/invoke", map[string]any{
 			"replica": i % 3, "op": map[string]any{"kind": "add", "delta": 2},
@@ -432,8 +416,15 @@ func TestMetricsShape(t *testing.T) {
 			t.Fatalf("invoke: %d %v", code, out)
 		}
 	}
-	time.Sleep(20 * time.Millisecond) // let the sampler tick
+	// The sampler's first tick records a trajectory point; poll for it.
 	rep := fetchMetrics(t, ts.URL)
+	for deadline := time.Now().Add(5 * time.Second); len(rep.Faults.Trajectory) == 0 || len(rep.Leader.History) == 0; {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+		rep = fetchMetrics(t, ts.URL)
+	}
 	if rep.Object != "counter" || rep.N != 3 || len(rep.Processes) != 3 {
 		t.Fatalf("report head: %+v", rep)
 	}

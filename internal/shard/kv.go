@@ -153,7 +153,6 @@ func (BatchKV) Apply(s map[string]int64, ops []Op) (map[string]int64, []Resp) {
 // The keyspace's instantiation of the request path.
 type (
 	Config  = ConfigOf[Result]
-	Hooks   = HooksOf[Result]
 	Pending = PendingOf[Result]
 )
 

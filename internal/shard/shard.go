@@ -12,7 +12,6 @@ import (
 	"tbwf/internal/mpsc"
 	"tbwf/internal/prim"
 	"tbwf/internal/qa"
-	"tbwf/internal/register"
 	"tbwf/internal/serve/telemetry"
 )
 
@@ -32,7 +31,7 @@ type ConfigOf[T any] struct {
 	// Admission is the overload policy (zero value: admit everything).
 	Admission Admission
 	// RegisterOptions apply to every abortable register of every stack.
-	RegisterOptions []register.AbOption
+	RegisterOptions []prim.AbOption
 	// Hooks observe served and shed operations (telemetry taps).
 	Hooks HooksOf[T]
 	// AblateBatchFence, for the fuzzer's negative control only, rotates

@@ -163,25 +163,6 @@ func weightOf(w []float64, p int) float64 {
 	return 1
 }
 
-// Replay returns a schedule that re-issues a recorded schedule (from
-// Trace.Schedule) verbatim, then falls back to round-robin past its end.
-// Together with the kernel's determinism it allows exact re-runs of a
-// previously observed interleaving for debugging.
-func Replay(recorded []int32) Schedule {
-	rr := RoundRobin()
-	return ScheduleFunc(func(step int64, alive []int) int {
-		if step < int64(len(recorded)) {
-			want := int(recorded[step])
-			for _, p := range alive {
-				if p == want {
-					return p
-				}
-			}
-		}
-		return rr.Next(step, alive)
-	})
-}
-
 // Availability tells, per step, whether a process may be scheduled. It is
 // how runs shape (un)timeliness: a process that is always available under a
 // fair base schedule is timely; one whose unavailable stretches grow without

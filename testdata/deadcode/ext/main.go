@@ -1,0 +1,9 @@
+package main
+
+import (
+	"fmt"
+
+	"fixture/lib"
+)
+
+func main() { fmt.Println(lib.ExternalOnly()) }
